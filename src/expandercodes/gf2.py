@@ -11,14 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapabilityError, ParseError
+from .errors import ParseError
 from .subsets import RightSubset, bit_indices
-
-# Caps for the exhaustive (exponential) operations; polynomial ones such as
-# rank and null-space extraction are not size-limited.
-MAX_ENUM_ROWS = 4096
-MAX_ENUM_COLS = 64
-MAX_MINIMALITY_SUBSET = 20
 
 
 @dataclass(frozen=True)
@@ -231,40 +225,19 @@ def nullspace_basis(matrix: Gf2Matrix) -> list[BitVector]:
     return [BitVector(matrix.cols, bits) for bits in kernel]
 
 
-def is_minimal_dependent(
-    matrix: Gf2Matrix,
-    subset: RightSubset,
-    max_subset: int = MAX_MINIMALITY_SUBSET,
-) -> bool:
+def is_minimal_dependent(matrix: Gf2Matrix, subset: RightSubset) -> bool:
     """True iff the selected columns sum to zero and no proper nonempty
     subset of them does.
 
-    Checked by exhausting the 2^|S| - 2 proper subsets with a Gray-code
-    walk; refuses (CapabilityError) above ``max_subset`` elements rather
-    than answering heuristically.
+    Exact rank test: when the columns of S sum to zero, their kernel
+    contains the all-ones combination, and it holds no other nonzero
+    combination (no proper zero-sum subset) exactly when it is
+    one-dimensional, i.e. rank(S) = |S| - 1.
     """
     t = len(subset)
     if t == 0:
         raise ValueError("minimal-dependence check requires a nonempty subset")
-    if matrix.rows > MAX_ENUM_ROWS or matrix.cols > MAX_ENUM_COLS:
-        raise CapabilityError(
-            f"matrix {matrix.rows}x{matrix.cols} exceeds the exhaustive-check "
-            f"limits ({MAX_ENUM_ROWS}x{MAX_ENUM_COLS})"
-        )
-    if t > max_subset:
-        raise CapabilityError(
-            f"subset of size {t} exceeds the minimality cap ({max_subset})"
-        )
     if xor_columns(matrix, subset).bits != 0:
         return False
-    picked = [matrix.columns[j] for j in subset.indices]
-    full = (1 << t) - 1
-    acc = 0
-    prev = 0
-    for i in range(1, 1 << t):
-        gray = i ^ (i >> 1)
-        acc ^= picked[(gray ^ prev).bit_length() - 1]
-        prev = gray
-        if acc == 0 and gray != full:
-            return False
-    return True
+    count, _ = _column_eliminate([matrix.columns[j] for j in subset.indices])
+    return count == t - 1

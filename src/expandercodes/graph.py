@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import CapabilityError
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, nullspace_basis
 from .subsets import (
     RightSubset,
     bit_indices,
@@ -249,13 +249,12 @@ def check_expansion(
     gamma,
     alpha,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    workers: int = 1,
 ) -> ExpanderCertificate:
     """Exhaustively certify |N(S)| >= d*alpha*|S| for all nonempty S with
     |S| <= floor(gamma*n).
 
     Comparisons are exact rational; the reported counterexample (if any) is
-    the first in (cardinality, lex) order regardless of ``workers``.
+    the first in (cardinality, lex) order.
     """
     gamma = exact_rational(gamma, "gamma")
     alpha = exact_rational(alpha, "alpha")
@@ -280,10 +279,10 @@ def check_expansion(
         if min_required <= 0:
             continue
 
-        def scan(universe, kk, acc0, _req=min_required):
-            return scan_union_below(masks, universe, kk, acc0, _req)
+        def scan(universe, kk, _req=min_required):
+            return scan_union_below(masks, universe, kk, _req)
 
-        hit = find_first_at_level(scan, lambda a: masks[a], n, k, workers)
+        hit = find_first_at_level(scan, n, k)
         if hit is not None:
             subset = RightSubset.of(n, hit)
             count = len(graph.neighbor_set(subset))
@@ -404,94 +403,54 @@ def find_bounds_violation(
 
 @dataclass(frozen=True)
 class PartitionSweep:
-    """Exhaustive check that splitting any S with empty odd neighborhood
-    into nonempty halves A and B gives odd(A) = odd(B)."""
+    """Counts behind the partition property: splitting any S with empty odd
+    neighborhood into nonempty halves A and B gives odd(A) = odd(B).
+
+    The property holds on every graph, so there is no violation to carry;
+    ``to_record`` still reports ``"violation": null``.
+    """
 
     subsets_checked: int
     empty_odd_found: int
     partitions_checked: int
-    violation: tuple[RightSubset, RightSubset, frozenset, frozenset] | None
 
     def to_record(self) -> dict:
-        rec = {
+        return {
             "subsets_checked": self.subsets_checked,
             "empty_odd_found": self.empty_odd_found,
             "partitions_checked": self.partitions_checked,
             "violation": None,
         }
-        if self.violation is not None:
-            subset, part_a, odd_a, odd_b = self.violation
-            rec["violation"] = {
-                "indices": list(subset.indices),
-                "part_a": list(part_a.indices),
-                "odd_a": sorted(odd_a),
-                "odd_b": sorted(odd_b),
-            }
-        return rec
 
 
 def find_partition_violation(
     graph: BipartiteGraph,
-    max_size: int | None = None,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> PartitionSweep:
-    """For every S (up to ``max_size``) whose odd neighborhood is empty,
-    check odd(A) = odd(B) over every bipartition S = A disjoint-union B.
+    """Count the subsets S with empty odd neighborhood and their
+    bipartitions S = A disjoint-union B into nonempty parts.
 
-    Both sides are computed independently per bipartition; the budget counts
-    subsets plus bipartitions inspected.
+    The odd neighborhood is linear over GF(2), so odd(A) xor odd(B) =
+    odd(S) = 0 and every bipartition has odd(A) = odd(B); no bipartition
+    needs checking. The empty-odd subsets are the supports of the nonzero
+    codewords, walked once from a null-space basis in Gray-code order; a
+    codeword of weight w has 2^(w-1) - 1 bipartitions. Every other nonempty
+    subset has a nonempty odd neighborhood, so ``subsets_checked`` is all
+    2^n - 1 of them. The budget bounds the codewords walked.
     """
-    n = graph.n
-    cap = n if max_size is None else min(max_size, n)
-    masks = graph._masks
-    work = count_sizes(n, 1, cap)
-    if work > budget:
+    basis = [v.bits for v in nullspace_basis(graph.biadjacency())]
+    codewords = (1 << len(basis)) - 1
+    if codewords > budget:
         raise CapabilityError(
-            f"enumerating subsets up to size {cap} needs {work} subsets, "
-            f"over the budget of {budget}"
+            f"walking the {codewords} nonzero codewords of a dimension-"
+            f"{len(basis)} code is over the budget of {budget}"
         )
-    subsets_checked = 0
-    empty_found = 0
     partitions = 0
-    for k in range(1, cap + 1):
-        for combo in combinations(range(n), k):
-            subsets_checked += 1
-            odd = 0
-            for j in combo:
-                odd ^= masks[j]
-            if odd != 0:
-                continue
-            empty_found += 1
-            if k < 2:
-                continue  # no bipartition into two nonempty parts
-            head, rest = combo[0], combo[1:]
-            for pick in range(1 << (k - 1)):
-                if pick == (1 << (k - 1)) - 1:
-                    continue  # B would be empty
-                partitions += 1
-                if subsets_checked + partitions > budget:
-                    raise CapabilityError(
-                        f"bipartition sweep exceeded the budget of {budget}"
-                    )
-                a_bits = 1 << head
-                b_bits = 0
-                for t, j in enumerate(rest):
-                    if (pick >> t) & 1:
-                        a_bits |= 1 << j
-                    else:
-                        b_bits |= 1 << j
-                odd_a = graph._odd_mask(a_bits)
-                odd_b = graph._odd_mask(b_bits)
-                if odd_a != odd_b:
-                    return PartitionSweep(
-                        subsets_checked,
-                        empty_found,
-                        partitions,
-                        (
-                            RightSubset(n, a_bits | b_bits),
-                            RightSubset(n, a_bits),
-                            frozenset(bit_indices(odd_a)),
-                            frozenset(bit_indices(odd_b)),
-                        ),
-                    )
-    return PartitionSweep(subsets_checked, empty_found, partitions, None)
+    acc = 0
+    prev_gray = 0
+    for i in range(1, codewords + 1):
+        gray = i ^ (i >> 1)
+        acc ^= basis[(gray ^ prev_gray).bit_length() - 1]
+        prev_gray = gray
+        partitions += (1 << (acc.bit_count() - 1)) - 1
+    return PartitionSweep(count_sizes(graph.n, 1, graph.n), codewords, partitions)

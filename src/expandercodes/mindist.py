@@ -23,7 +23,13 @@ from fractions import Fraction
 
 from .errors import CapabilityError
 from .gf2 import Gf2Matrix, nullspace_basis, xor_columns
-from .graph import BipartiteGraph, ExpanderCertificate, check_expansion, exact_rational
+from .graph import (
+    DEFAULT_SUBSET_BUDGET,
+    BipartiteGraph,
+    ExpanderCertificate,
+    check_expansion,
+    exact_rational,
+)
 from .subsets import (
     RightSubset,
     bit_indices,
@@ -35,7 +41,6 @@ from .subsets import (
 
 MAX_KERNEL_DIMENSION = 30
 MAX_SUBSET_RIGHT = 28
-DEFAULT_SUBSET_BUDGET = 1 << 28
 
 
 class _InfiniteDistance:
@@ -134,14 +139,13 @@ class PruningParams:
         gamma,
         epsilon,
         budget: int = DEFAULT_SUBSET_BUDGET,
-        workers: int = 1,
     ) -> "PruningParams":
         """Run the expansion check for (gamma, 1 - epsilon) and wrap it."""
         gamma = exact_rational(gamma, "gamma")
         epsilon = exact_rational(epsilon, "epsilon")
         if not 0 < epsilon < Fraction(1, 2):
             raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
-        cert = check_expansion(graph, gamma, 1 - epsilon, budget=budget, workers=workers)
+        cert = check_expansion(graph, gamma, 1 - epsilon, budget=budget)
         if not cert.verified:
             v = cert.violation
             raise ValueError(
@@ -152,7 +156,7 @@ class PruningParams:
         return cls(gamma, epsilon, cert)
 
 
-def _search_by_size(graph, start_size, method, threshold, budget, workers):
+def _search_by_size(graph, start_size, method, threshold, budget):
     n = graph.n
     cols = graph.biadjacency().columns
     planned = count_sizes(n, start_size, n)
@@ -162,11 +166,11 @@ def _search_by_size(graph, start_size, method, threshold, budget, workers):
             f"over the budget of {budget}"
         )
 
-    def scan(universe, k, acc0):
-        return scan_xor_zero(cols, universe, k, acc0)
+    def scan(universe, k):
+        return scan_xor_zero(cols, universe, k)
 
     for k in range(start_size, n + 1):
-        hit = find_first_at_level(scan, lambda a: cols[a], n, k, workers)
+        hit = find_first_at_level(scan, n, k)
         if hit is not None:
             examined = count_sizes(n, start_size, k - 1) + combination_rank(hit, n) + 1
             return MinDistanceResult(
@@ -189,7 +193,6 @@ def min_distance_subset(
     graph: BipartiteGraph,
     max_right: int = MAX_SUBSET_RIGHT,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    workers: int = 1,
 ) -> MinDistanceResult:
     """Smallest nonempty right subset with empty odd neighborhood.
 
@@ -202,7 +205,7 @@ def min_distance_subset(
         raise CapabilityError(
             f"subset search supports up to {max_right} right vertices, got {graph.n}"
         )
-    return _search_by_size(graph, 1, "subset", None, budget, workers)
+    return _search_by_size(graph, 1, "subset", None, budget)
 
 
 def min_distance_kernel(
@@ -256,7 +259,6 @@ def min_distance_pruned(
     params: PruningParams,
     max_right: int = MAX_SUBSET_RIGHT,
     budget: int = DEFAULT_SUBSET_BUDGET,
-    workers: int = 1,
 ) -> MinDistanceResult:
     """Subset search restricted to sizes >= the certified expansion bound
     2*(1-eps)*gamma*n.
@@ -280,7 +282,7 @@ def min_distance_pruned(
         )
     threshold = 2 * (1 - params.epsilon) * gamma_n
     start = max(1, math.ceil(threshold))
-    return _search_by_size(graph, start, "pruned", threshold, budget, workers)
+    return _search_by_size(graph, start, "pruned", threshold, budget)
 
 
 def distance_lower_bound(gamma, epsilon, n: int) -> Fraction:
@@ -324,10 +326,10 @@ def verify_distance_result(
         )
     cols = matrix.columns
 
-    def scan(universe, k, acc0):
-        return scan_xor_zero(cols, universe, k, acc0)
+    def scan(universe, k):
+        return scan_xor_zero(cols, universe, k)
 
     for k in range(1, d):
-        if find_first_at_level(scan, lambda a: cols[a], n, k) is not None:
+        if find_first_at_level(scan, n, k) is not None:
             return False
     return True

@@ -4,14 +4,13 @@ enumeration shared by every exhaustive search in the package.
 Order contract: subsets are visited by increasing cardinality and, within
 one cardinality, lexicographically on the sorted index tuple (the order
 ``itertools.combinations`` produces). ``combination_rank`` converts a
-combination back to its position in that order, which lets a partitioned
-parallel scan report the exact counters a sequential scan would.
+combination back to its position in that order, so a search that stops at
+its first hit can report how many subsets it examined.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -100,9 +99,9 @@ def count_sizes(n: int, lo: int, hi: int) -> int:
     return sum(math.comb(n, s) for s in range(max(lo, 0), min(hi, n) + 1))
 
 
-def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int, acc0: int):
+def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
     """First k-combination of ``universe`` (lex order) whose selected columns
-    XOR with ``acc0`` to zero; None if there is none.
+    XOR to zero; None if there is none.
 
     The XOR accumulator is updated incrementally over the suffix that
     changes between consecutive combinations, so a step costs O(changed)
@@ -110,11 +109,11 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int, acc0: in
     """
     u = len(universe)
     if k == 0:
-        return () if acc0 == 0 else None
+        return ()
     if k > u:
         return None
     idx = list(range(k))
-    acc = acc0
+    acc = 0
     for i in idx:
         acc ^= cols[universe[i]]
     while True:
@@ -137,26 +136,25 @@ def scan_union_below(
     masks: Sequence[int],
     universe: Sequence[int],
     k: int,
-    acc0: int,
     min_required: int,
 ):
     """First k-combination of ``universe`` (lex order) whose neighborhood
-    union (OR of masks, seeded with ``acc0``) has fewer than ``min_required``
-    set bits; None if every combination meets the requirement.
+    union (OR of masks) has fewer than ``min_required`` set bits; None if
+    every combination meets the requirement.
 
     Unions cannot be un-done, so a prefix stack is kept and only the changed
     suffix is recomputed on each step.
     """
     u = len(universe)
     if k == 0:
-        return () if acc0.bit_count() < min_required else None
+        return () if min_required > 0 else None
     if k > u:
         return None
     idx = list(range(k))
     pref = [0] * k
 
     def refill(start: int) -> None:
-        run = acc0 if start == 0 else pref[start - 1]
+        run = 0 if start == 0 else pref[start - 1]
         for j in range(start, k):
             run |= masks[universe[idx[j]]]
             pref[j] = run
@@ -207,32 +205,11 @@ def level_min_union(masks: Sequence[int], n: int, k: int) -> int | None:
 
 
 def find_first_at_level(
-    scan: Callable[[Sequence[int], int, int], tuple | None],
-    seed: Callable[[int], int],
+    scan: Callable[[Sequence[int], int], tuple | None],
     n: int,
     k: int,
-    workers: int = 1,
 ):
-    """Run ``scan`` over the k-subsets of [0, n), optionally partitioned.
-
-    With ``workers > 1`` the level is split by leading element; partition
-    results are reduced in enumeration order (not arrival order), so the
-    returned combination is identical to a sequential scan.
-    """
+    """First k-subset of [0, n) in lex order that ``scan`` reports, or None."""
     if k > n or k < 1:
         return None
-    if workers <= 1 or n - k + 1 <= 1:
-        return scan(range(n), k, 0)
-    leads = range(n - k + 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {a: pool.submit(scan, range(a + 1, n), k - 1, seed(a)) for a in leads}
-        hit = None
-        for a in leads:
-            found = futures[a].result()
-            if found is not None:
-                hit = (a,) + found
-                for b in leads:
-                    if b > a:
-                        futures[b].cancel()
-                break
-    return hit
+    return scan(range(n), k)

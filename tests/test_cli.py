@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from expandercodes import (
+    GenSpec,
     check_expansion,
     figure1,
     min_distance_subset,
     parse_graph,
+    random_right_regular,
     serialize_graph,
 )
 from expandercodes.cli import main
@@ -123,15 +125,33 @@ def test_bound_json_round_trips(capsys):
     assert record["gamma"] == "1/2" and record["epsilon"] == "1/3"
 
 
-def test_lemmas_json(capsys):
+def test_lemmas_json(tmp_path, capsys):
+    # full records, byte for byte; the partition counters are the ones an
+    # exhaustive sweep over every bipartition counts
     status, out, _ = run(
         capsys, "lemmas", "figure1", "--gamma", "1/2", "--epsilon", "1/3", "--json"
     )
     assert status == 0
-    record = json.loads(out)
-    assert record["certificate"]["verified"] is True
-    assert record["bounds"]["violation"] is None
-    assert record["partition"]["violation"] is None
+    assert out == (
+        '{"bounds": {"epsilon": "1/3", "gamma": "1/2", "size_cap": 2, '
+        '"subsets_checked": 10, "violation": null}, "certificate": {"alpha": "2/3", '
+        '"d": 2, "gamma": "1/2", "m": 5, "n": 4, "verified": true, "violation": null}, '
+        '"partition": {"empty_odd_found": 1, "partitions_checked": 3, '
+        '"subsets_checked": 15, "violation": null}}\n'
+    )
+    path = tmp_path / "seeded.edges"
+    path.write_text(serialize_graph(random_right_regular(GenSpec(8, 12, 3, seed=8))))
+    status, out, _ = run(
+        capsys, "lemmas", str(path), "--gamma", "1/6", "--epsilon", "1/3", "--json"
+    )
+    assert status == 0
+    assert out == (
+        '{"bounds": {"epsilon": "1/3", "gamma": "1/6", "size_cap": 2, '
+        '"subsets_checked": 78, "violation": null}, "certificate": {"alpha": "2/3", '
+        '"d": 3, "gamma": "1/6", "m": 8, "n": 12, "verified": true, "violation": null}, '
+        '"partition": {"empty_odd_found": 15, "partitions_checked": 945, '
+        '"subsets_checked": 4095, "violation": null}}\n'
+    )
 
 
 def test_gen_round_trips_and_is_deterministic(capsys):

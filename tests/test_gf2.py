@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from expandercodes import (
     BitVector,
-    CapabilityError,
     Gf2Matrix,
     ParseError,
     RightSubset,
@@ -160,9 +159,37 @@ def test_minimal_dependent_zero_column_is_minimal():
 def test_minimal_dependent_errors():
     with pytest.raises(ValueError):
         is_minimal_dependent(B_DEMO, RightSubset.empty(4))
-    wide = Gf2Matrix.zeros(1, 30)
-    with pytest.raises(CapabilityError):
-        is_minimal_dependent(wide, RightSubset.full(30), max_subset=20)
+
+
+def test_minimal_dependent_wide_subset():
+    # 30 zero columns: each one alone is a proper zero-sum subset
+    assert is_minimal_dependent(Gf2Matrix.zeros(1, 30), RightSubset.full(30)) is False
+
+
+def brute_force_minimal(matrix, subset):
+    """Oracle: zero-sum and no proper nonempty subset is zero-sum, by
+    enumerating every proper subset."""
+    picked = [matrix.columns[j] for j in subset.indices]
+
+    def zero_sum(combo):
+        acc = 0
+        for c in combo:
+            acc ^= c
+        return acc == 0
+
+    return zero_sum(picked) and not any(
+        zero_sum(combo)
+        for k in range(1, len(picked))
+        for combo in combinations(picked, k)
+    )
+
+
+@settings(max_examples=300)
+@given(matrices(max_rows=5, max_cols=8), st.data())
+def test_minimal_dependent_matches_brute_force(matrix, data):
+    bits = data.draw(st.integers(1, (1 << matrix.cols) - 1))
+    subset = RightSubset(matrix.cols, bits)
+    assert is_minimal_dependent(matrix, subset) == brute_force_minimal(matrix, subset)
 
 
 def test_zero_xor_subset_contains_minimal_subset():

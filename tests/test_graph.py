@@ -9,6 +9,7 @@ import pytest
 from expandercodes import (
     BipartiteGraph,
     CapabilityError,
+    GenSpec,
     RightSubset,
     check_expansion,
     expansion_profile,
@@ -16,6 +17,7 @@ from expandercodes import (
     find_bounds_violation,
     find_partition_violation,
     odd_neighborhood_bounds,
+    random_right_regular,
     xor_columns,
 )
 
@@ -114,13 +116,6 @@ def test_check_expansion_budget():
         check_expansion(G, 1, Fraction(2, 3), budget=5)
 
 
-def test_check_expansion_parallel_matches_sequential():
-    for alpha in (Fraction(2, 3), Fraction(7, 8), Fraction(101, 100)):
-        seq = check_expansion(G, 1, alpha)
-        par = check_expansion(G, 1, alpha, workers=3)
-        assert seq == par
-
-
 def test_expansion_profile_demo():
     profile = expansion_profile(G, 2)
     assert profile.min_at(1) == 2
@@ -198,7 +193,8 @@ def test_find_bounds_violation_reports_first():
 
 def test_find_partition_violation_none_on_demo():
     sweep = find_partition_violation(G)
-    assert sweep.violation is None
+    assert sweep.to_record()["violation"] is None
+    assert sweep.subsets_checked == 15
     assert sweep.empty_odd_found == 1
     assert sweep.partitions_checked == 3  # splits of {0,2,3}
 
@@ -207,7 +203,6 @@ def test_partition_parts_always_match():
     # check the reported counters against a direct recount
     twin = BipartiteGraph(4, 4, ((0, 1), (0, 1), (2, 3), (2, 3)))
     sweep = find_partition_violation(twin)
-    assert sweep.violation is None
     zeros = [
         combo
         for k in range(1, 5)
@@ -216,3 +211,34 @@ def test_partition_parts_always_match():
     ]
     assert sweep.empty_odd_found == len(zeros)
     assert sweep.partitions_checked == sum(2 ** (len(z) - 1) - 1 for z in zeros)
+
+
+def test_partition_property_brute_force_seeded():
+    # every bipartition of every empty-odd subset, checked side by side,
+    # against the sweep's closed-form counters
+    for seed in range(30):
+        spec = GenSpec(m=3 + seed % 4, n=4 + seed % 5, d=2 + seed % 2, seed=seed)
+        graph = random_right_regular(spec)
+        n = graph.n
+        empty_odd = partitions = 0
+        for bits in range(1, 1 << n):
+            if graph.odd_neighborhood(RightSubset(n, bits)):
+                continue
+            empty_odd += 1
+            part_a = bits
+            while part_a:
+                part_a = (part_a - 1) & bits
+                part_b = bits ^ part_a
+                if part_a and part_a < part_b:
+                    odd_a = graph.odd_neighborhood(RightSubset(n, part_a))
+                    assert odd_a == graph.odd_neighborhood(RightSubset(n, part_b))
+                    partitions += 1
+        sweep = find_partition_violation(graph)
+        assert sweep.subsets_checked == (1 << n) - 1
+        assert sweep.empty_odd_found == empty_odd
+        assert sweep.partitions_checked == partitions
+
+
+def test_find_partition_violation_budget():
+    with pytest.raises(CapabilityError):
+        find_partition_violation(G, budget=0)
