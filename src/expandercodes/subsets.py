@@ -4,14 +4,19 @@ enumeration shared by every exhaustive search in the package.
 Order contract: subsets are visited by increasing cardinality and, within
 one cardinality, lexicographically on the sorted index tuple (the order
 ``itertools.combinations`` produces). ``combination_rank`` converts a
-combination back to its position in that order, so a search that stops at
-its first hit can report how many subsets it examined.
+combination back to its position in that order; a search reports its
+first hit's position as its ``examined`` count, whatever work it did to
+find the hit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import xor
 from typing import Callable, Iterable, Sequence
 
 
@@ -103,33 +108,49 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
     """First k-combination of ``universe`` (lex order) whose selected columns
     XOR to zero; None if there is none.
 
-    The XOR accumulator is updated incrementally over the suffix that
-    changes between consecutive combinations, so a step costs O(changed)
-    single-int XORs rather than O(k).
+    Meet in the middle: a combination splits into a head A (its first k - t
+    positions) and a tail B (its last t), with min(B) > max(A). Tails go
+    into a table from XOR(B) to the tails in lex order; heads are walked in
+    lex order and each takes the first tail under key XOR(A) that starts
+    after max(A). Combinations order by head first, then by tail, so the
+    first such pair is the lex-first witness. ``t`` starts at k // 2 and
+    falls until C(u, t) <= C(u - t, k - t), so the table never outgrows the
+    head walk it serves and a level costs at most twice C(u, k); t = 0 is a
+    plain walk over every k-combination.
     """
     u = len(universe)
     if k == 0:
         return ()
     if k > u:
         return None
-    idx = list(range(k))
-    acc = 0
-    for i in idx:
-        acc ^= cols[universe[i]]
-    while True:
-        if acc == 0:
-            return tuple(universe[i] for i in idx)
-        i = k - 1
-        while i >= 0 and idx[i] == u - k + i:
-            i -= 1
-        if i < 0:
-            return None
-        for j in range(i, k):
-            acc ^= cols[universe[idx[j]]]
-        base = idx[i] + 1
-        for j in range(i, k):
-            idx[j] = base + (j - i)
-            acc ^= cols[universe[idx[j]]]
+    c = [cols[v] for v in universe]
+    t = k // 2
+    while math.comb(u, t) > math.comb(u - t, k - t):
+        t -= 1
+    h = k - t
+    # max(A) >= h - 1, so a usable tail starts at position h or later.
+    table: dict[int, list[tuple[int, ...]]] = {}
+    for tail in combinations(range(h, u), t):
+        table.setdefault(_xor(c, tail), []).append(tail)
+
+    def start(tail):
+        # The empty tail (t = 0) fits after every head.
+        return tail[0] if tail else u
+
+    # A head is a prefix plus its last element j, so XOR(A) costs one XOR.
+    for prefix in combinations(range(u - t - 1), h - 1):
+        acc = _xor(c, prefix)
+        for j in range(prefix[-1] + 1 if prefix else 0, u - t):
+            tails = table.get(acc ^ c[j])
+            if tails is not None:
+                i = bisect_right(tails, j, key=start)
+                if i < len(tails):
+                    return tuple(universe[p] for p in (*prefix, j, *tails[i]))
+    return None
+
+
+def _xor(c: Sequence[int], positions: Iterable[int]) -> int:
+    return reduce(xor, map(c.__getitem__, positions), 0)
 
 
 def scan_union_below(

@@ -92,10 +92,29 @@ def test_subset_isolated_right_vertex():
 
 
 def test_subset_infinite():
-    graph = BipartiteGraph.from_biadjacency(Gf2Matrix.identity(5))
+    # Full column rank: every level up to k = n is searched and comes up
+    # empty; at n = 20 that includes levels where the split falls to t = 0.
+    for n in (5, 20):
+        graph = BipartiteGraph.from_biadjacency(Gf2Matrix.identity(n))
+        result = min_distance_subset(graph)
+        assert result.distance is INFINITE
+        assert result.witness is None
+        assert result.examined == 2**n - 1
+
+
+def test_subset_path_code_distance_n():
+    # Check i joins right vertices i and i + 1; the only codeword is all ones.
+    n = 20
+    graph = BipartiteGraph(n - 1, n, tuple(
+        tuple(i for i in (j - 1, j) if 0 <= i < n - 1) for j in range(n)
+    ))
     result = min_distance_subset(graph)
-    assert result.distance is INFINITE
-    assert result.examined == 2**5 - 1
+    assert result.distance == n
+    assert result.witness == RightSubset.full(n)
+    assert result.examined == 2**n - 1
+    by_kernel = min_distance_kernel(graph.biadjacency())
+    assert (by_kernel.distance, by_kernel.witness) == (n, result.witness)
+    assert verify_distance_result(graph.biadjacency(), result)
 
 
 def test_subset_right_cap():
@@ -196,8 +215,13 @@ def test_verify_distance_result_rejects_corruption():
 
 
 def test_kernel_subset_agree_small_sweep():
-    for seed in range(40):
-        spec = GenSpec(m=4 + seed % 5, n=3 + seed % 6, d=2 + seed % 2, seed=seed)
+    specs = [
+        GenSpec(m=4 + seed % 5, n=3 + seed % 6, d=2 + seed % 2, seed=seed)
+        for seed in range(40)
+    ]
+    # low-rate codes of distance 6 at n = 26, as in the benchmark corpus
+    specs += [GenSpec(18, 26, 5, seed=seed) for seed in range(5)]
+    for spec in specs:
         graph = random_right_regular(spec)
         by_kernel = min_distance_kernel(graph.biadjacency())
         by_subset = min_distance_subset(graph)
@@ -207,6 +231,7 @@ def test_kernel_subset_agree_small_sweep():
             # a minimum-size witness is a minimal dependent column set
             assert not graph.odd_neighborhood(by_subset.witness)
             assert is_minimal_dependent(graph.biadjacency(), by_subset.witness)
+            assert verify_distance_result(graph.biadjacency(), by_subset)
 
 
 def test_examined_counter_matches_recount():
