@@ -370,9 +370,16 @@ def find_bounds_violation(
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> BoundsSweep:
     """Scan all nonempty S with |S| <= floor(gamma*n) for a failure of
-    d*(1-2*eps)*|S| <= |odd(S)| <= |N(S)|, in (cardinality, lex) order."""
+    d*(1-2*eps)*|S| <= |odd(S)| <= |N(S)|, in (cardinality, lex) order.
+
+    odd(S) is a subset of N(S), so the right-hand inequality always holds
+    and only the lower bound is tested; |N(S)| is computed for the record
+    of a violation.
+    """
     gamma = exact_rational(gamma, "gamma")
     epsilon = exact_rational(epsilon, "epsilon")
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
     if graph.d is None:
         raise ValueError("the bounds sweep requires a right-regular graph")
     n, d = graph.n, graph.d
@@ -390,13 +397,12 @@ def find_bounds_violation(
         for combo in combinations(range(n), k):
             checked += 1
             odd = 0
-            union = 0
             for j in combo:
                 odd ^= masks[j]
-                union |= masks[j]
-            mid, upper = odd.bit_count(), union.bit_count()
-            if not (lower <= mid <= upper):
+            mid = odd.bit_count()
+            if mid < lower:
                 subset = RightSubset.of(n, combo)
+                upper = len(graph.neighbor_set(subset))
                 return BoundsSweep(gamma, epsilon, cap, checked, (subset, lower, mid, upper))
     return BoundsSweep(gamma, epsilon, cap, checked, None)
 

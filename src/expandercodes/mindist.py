@@ -40,7 +40,6 @@ from .subsets import (
 )
 
 MAX_KERNEL_DIMENSION = 30
-MAX_SUBSET_RIGHT = 28
 
 
 class _InfiniteDistance:
@@ -191,7 +190,6 @@ def _search_by_size(graph, start_size, method, threshold, budget):
 
 def min_distance_subset(
     graph: BipartiteGraph,
-    max_right: int = MAX_SUBSET_RIGHT,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> MinDistanceResult:
     """Smallest nonempty right subset with empty odd neighborhood.
@@ -201,10 +199,6 @@ def min_distance_subset(
     lexicographically smallest among all minimum-size witnesses. INFINITE
     when the biadjacency matrix has full column rank.
     """
-    if graph.n > max_right:
-        raise CapabilityError(
-            f"subset search supports up to {max_right} right vertices, got {graph.n}"
-        )
     return _search_by_size(graph, 1, "subset", None, budget)
 
 
@@ -257,7 +251,6 @@ def min_distance_kernel(
 def min_distance_pruned(
     graph: BipartiteGraph,
     params: PruningParams,
-    max_right: int = MAX_SUBSET_RIGHT,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> MinDistanceResult:
     """Subset search restricted to sizes >= the certified expansion bound
@@ -269,10 +262,6 @@ def min_distance_pruned(
     is attainable (the bundled 5x4 demo graph attains it at its tight
     alpha), so a strictly-greater cut would miss such witnesses.
     """
-    if graph.n > max_right:
-        raise CapabilityError(
-            f"subset search supports up to {max_right} right vertices, got {graph.n}"
-        )
     if params.certificate.graph != graph:
         raise ValueError("the certificate was issued for a different graph")
     gamma_n = params.gamma * graph.n

@@ -153,6 +153,35 @@ def _xor(c: Sequence[int], positions: Iterable[int]) -> int:
     return reduce(xor, map(c.__getitem__, positions), 0)
 
 
+def _unions_below(masks: Sequence[int], k: int, bound):
+    """Each k-combination of positions of ``masks``, in lex order, whose
+    union (OR) has fewer than ``bound`` set bits, as (positions, bit count).
+
+    ``bound`` falls to the count of each yield, so every yield is strictly
+    below the last. Unions only grow as positions are added, so a prefix
+    whose union already has ``bound`` bits has no leaf below the bound and
+    is cut; each leaf is visited at most once.
+    """
+    u = len(masks)
+    combo = [0] * k
+
+    def walk(start: int, acc: int, depth: int):
+        nonlocal bound
+        for j in range(start, u - k + depth + 1):
+            union = acc | masks[j]
+            count = union.bit_count()
+            if count >= bound:
+                continue
+            combo[depth] = j
+            if depth == k - 1:
+                bound = count
+                yield tuple(combo), count
+            else:
+                yield from walk(j + 1, union, depth + 1)
+
+    return walk(0, 0, 0)
+
+
 def scan_union_below(
     masks: Sequence[int],
     universe: Sequence[int],
@@ -161,68 +190,23 @@ def scan_union_below(
 ):
     """First k-combination of ``universe`` (lex order) whose neighborhood
     union (OR of masks) has fewer than ``min_required`` set bits; None if
-    every combination meets the requirement.
-
-    Unions cannot be un-done, so a prefix stack is kept and only the changed
-    suffix is recomputed on each step.
-    """
-    u = len(universe)
+    every combination meets the requirement."""
     if k == 0:
         return () if min_required > 0 else None
-    if k > u:
+    if k > len(universe):
         return None
-    idx = list(range(k))
-    pref = [0] * k
-
-    def refill(start: int) -> None:
-        run = 0 if start == 0 else pref[start - 1]
-        for j in range(start, k):
-            run |= masks[universe[idx[j]]]
-            pref[j] = run
-
-    refill(0)
-    while True:
-        if pref[k - 1].bit_count() < min_required:
-            return tuple(universe[i] for i in idx)
-        i = k - 1
-        while i >= 0 and idx[i] == u - k + i:
-            i -= 1
-        if i < 0:
-            return None
-        base = idx[i] + 1
-        for j in range(i, k):
-            idx[j] = base + (j - i)
-        refill(i)
+    hit = next(_unions_below([masks[v] for v in universe], k, min_required), None)
+    return None if hit is None else tuple(universe[i] for i in hit[0])
 
 
 def level_min_union(masks: Sequence[int], n: int, k: int) -> int | None:
     """Minimum popcount of the mask union over all k-subsets of [0, n)."""
     if k == 0 or k > n:
         return None
-    idx = list(range(k))
-    pref = [0] * k
-
-    def refill(start: int) -> None:
-        run = 0 if start == 0 else pref[start - 1]
-        for j in range(start, k):
-            run |= masks[idx[j]]
-            pref[j] = run
-
-    refill(0)
-    best = pref[k - 1].bit_count()
-    while True:
-        i = k - 1
-        while i >= 0 and idx[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            return best
-        base = idx[i] + 1
-        for j in range(i, k):
-            idx[j] = base + (j - i)
-        refill(i)
-        count = pref[k - 1].bit_count()
-        if count < best:
-            best = count
+    # Each yield is strictly below the last, so the last one is the minimum.
+    for _, best in _unions_below(masks[:n], k, math.inf):
+        pass
+    return best
 
 
 def find_first_at_level(

@@ -191,6 +191,14 @@ def test_find_bounds_violation_reports_first():
     assert mid == 0 and upper == 2 and lower == 3
 
 
+@pytest.mark.parametrize("gamma", [0, -1])
+def test_find_bounds_violation_rejects_nonpositive_gamma(gamma):
+    # A nonpositive gamma gives a negative size cap, so nothing would be
+    # checked and the sweep would pass vacuously.
+    with pytest.raises(ValueError, match="gamma must be > 0"):
+        find_bounds_violation(G, gamma, Fraction(1, 4))
+
+
 def test_find_partition_violation_none_on_demo():
     sweep = find_partition_violation(G)
     assert sweep.to_record()["violation"] is None

@@ -119,8 +119,9 @@ def test_subset_path_code_distance_n():
 
 def test_subset_right_cap():
     graph = BipartiteGraph(1, 30, ((0,),) * 30)
-    with pytest.raises(CapabilityError):
-        min_distance_subset(graph, max_right=28)
+    # 2^30 - 1 subsets: over the default budget of 2^28.
+    with pytest.raises(CapabilityError, match="over the budget"):
+        min_distance_subset(graph)
 
 
 def test_infinite_marker_refuses_ordering():
