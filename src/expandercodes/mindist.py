@@ -1,8 +1,9 @@
 """Exact minimum distance of the code whose parity-check matrix is a
 graph's biadjacency matrix, by three mutually validating methods.
 
-* kernel: enumerate every nonzero codeword from a null-space basis and
-  take the minimum Hamming weight.
+* kernel: walk sums of r null-space basis vectors for r = 1, 2, ... and
+  take the minimum Hamming weight, stopping once r exceeds the lightest
+  weight found (the basis is systematic, so such a sum weighs at least r).
 * subset: enumerate right subsets by increasing cardinality and return the
   first whose odd neighborhood is empty (its indicator vector is then a
   minimum-weight codeword).
@@ -32,7 +33,6 @@ from .graph import (
 )
 from .subsets import (
     RightSubset,
-    bit_indices,
     combination_rank,
     count_sizes,
     find_first_at_level,
@@ -67,9 +67,10 @@ INFINITE = _InfiniteDistance()
 class MinDistanceResult:
     """Distance plus a witness subset whose odd neighborhood is empty.
 
-    ``examined`` counts codewords (kernel method) or subsets in enumeration
-    order up to and including the witness. ``threshold`` is the certified
-    size bound for the pruned method, else None.
+    ``examined`` is, for the kernel method, the 2^k - 1 nonzero codewords
+    decided, walked or bounded out; for the subset searches, the subsets in
+    enumeration order up to and including the witness. ``threshold`` is the
+    certified size bound for the pruned method, else None.
     """
 
     distance: int | _InfiniteDistance
@@ -209,6 +210,14 @@ def min_distance_kernel(
     """Minimum Hamming weight over all 2^k - 1 nonzero codewords, from a
     null-space basis of the parity-check matrix.
 
+    Codewords are walked as sums of r basis vectors for r = 1, 2, ...,
+    and the walk stops before level r once r exceeds the lightest weight
+    found. That cut is exact: the basis is systematic on its free columns
+    (each vector holds its own free column and otherwise only pivot
+    columns), so a sum of r basis vectors has weight >= r and every
+    minimum-weight codeword lies on a level that is walked in full.
+    ``examined`` is 2^k - 1, the codewords decided, walked or bounded out.
+
     The witness is the lexicographically smallest support among the
     minimum-weight codewords, matching the subset search tie-break.
     """
@@ -221,25 +230,33 @@ def min_distance_kernel(
     if k == 0:
         return MinDistanceResult(INFINITE, None, "kernel", 0)
     vectors = [b.bits for b in basis]
-    best_weight = None
+    best_weight = math.inf
     best_bits = 0
-    best_support: tuple[int, ...] = ()
-    acc = 0
-    prev_gray = 0
-    for i in range(1, 1 << k):
-        gray = i ^ (i >> 1)
-        acc ^= vectors[(gray ^ prev_gray).bit_length() - 1]
-        prev_gray = gray
-        weight = acc.bit_count()
-        if best_weight is None or weight < best_weight:
-            best_weight = weight
-            best_bits = acc
-            best_support = bit_indices(acc)
-        elif weight == best_weight:
-            support = bit_indices(acc)
-            if support < best_support:
-                best_bits = acc
-                best_support = support
+
+    def walk(start: int, acc: int, depth: int):
+        # Every sum of ``depth`` more vectors from ``start`` on; each costs
+        # one XOR from its prefix sum ``acc``.
+        nonlocal best_weight, best_bits
+        if depth > 1:
+            for j in range(start, k - depth + 1):
+                walk(j + 1, acc ^ vectors[j], depth - 1)
+            return
+        for v in vectors[start:]:
+            word = acc ^ v
+            weight = word.bit_count()
+            if weight > best_weight:
+                continue
+            # Of two supports of one size, the lex-smaller one holds the
+            # lowest element of their symmetric difference.
+            diff = word ^ best_bits
+            if weight < best_weight or diff & -diff & word:
+                best_weight = weight
+                best_bits = word
+
+    for r in range(1, k + 1):
+        if r > best_weight:
+            break
+        walk(0, 0, r)
     return MinDistanceResult(
         distance=best_weight,
         witness=RightSubset(matrix.cols, best_bits),

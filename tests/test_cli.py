@@ -74,6 +74,19 @@ def test_mindist_methods_agree(capsys):
     assert distances["subset"] == distances["kernel"] == 3
 
 
+def test_mindist_kernel_json_high_dimension(tmp_path, capsys):
+    # a dimension-20 code of distance 2: the full record, byte for byte;
+    # examined counts all 2^20 - 1 nonzero codewords
+    path = tmp_path / "highrate.edges"
+    path.write_text(serialize_graph(random_right_regular(GenSpec(8, 28, 3, seed=1))))
+    status, out, _ = run(capsys, "mindist", str(path), "--method", "kernel", "--json")
+    assert status == 0
+    assert out == (
+        '{"distance": 2, "examined": 1048575, "method": "kernel", "threshold": null, '
+        '"witness": {"indices": [6, 26], "labels": [15, 35]}}\n'
+    )
+
+
 def test_verify_from_file(tmp_path, capsys):
     path = tmp_path / "demo.edges"
     path.write_text(serialize_graph(figure1()))

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from expandercodes import (
     BitVector,
+    GenSpec,
     Gf2Matrix,
     ParseError,
     RightSubset,
     figure1,
     is_minimal_dependent,
     nullspace_basis,
+    random_right_regular,
     rank,
     xor_columns,
 )
@@ -131,6 +133,41 @@ def test_rank_nullity_and_kernel_membership(matrix):
     if basis:
         stacked = Gf2Matrix(matrix.cols, len(basis), tuple(v.bits for v in basis))
         assert rank(stacked) == len(basis)
+
+
+def assert_systematic_on_free_columns(matrix):
+    """What the kernel method's level cut relies on: each basis vector's
+    bits on the free columns are exactly its own free column, so a sum of
+    r basis vectors has r free bits and weight >= r."""
+    # Column j is free when it lies in the span of the columns before it.
+    free = [
+        j for j in range(matrix.cols)
+        if rank(Gf2Matrix(matrix.rows, j + 1, matrix.columns[: j + 1]))
+        == rank(Gf2Matrix(matrix.rows, j, matrix.columns[:j]))
+    ]
+    free_mask = sum(1 << j for j in free)
+    basis = nullspace_basis(matrix)
+    assert len(basis) == len(free)
+    for vec, j in zip(basis, free):
+        assert vec.bits & free_mask == 1 << j
+    vectors = [v.bits for v in basis]
+    for r in range(1, min(len(vectors), 6) + 1):
+        for combo in combinations(vectors, r):
+            acc = 0
+            for v in combo:
+                acc ^= v
+            assert (acc & free_mask).bit_count() == r <= acc.bit_count()
+
+
+def test_nullspace_systematic_seeded():
+    for seed in range(20):
+        spec = GenSpec(m=3 + seed % 6, n=4 + seed % 9, d=2 + seed % 2, seed=seed)
+        assert_systematic_on_free_columns(random_right_regular(spec).biadjacency())
+
+
+@given(matrices(max_rows=4, max_cols=8))
+def test_nullspace_systematic(matrix):
+    assert_systematic_on_free_columns(matrix)
 
 
 @settings(max_examples=60)

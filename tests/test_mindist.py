@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expandercodes import (
     INFINITE,
@@ -70,6 +72,69 @@ def test_kernel_duplicate_column_distance_two():
 def test_kernel_dimension_cap():
     with pytest.raises(CapabilityError):
         min_distance_kernel(Gf2Matrix.zeros(1, 12), max_dimension=10)
+    with pytest.raises(CapabilityError):
+        min_distance_kernel(Gf2Matrix.zeros(1, 31))
+    # At the default cap only the level cut makes this finish: level 1
+    # finds weight 1 and no level is walked after it.
+    result = min_distance_kernel(Gf2Matrix.zeros(1, 30))
+    assert result.distance == 1
+    assert result.witness == RightSubset.of(30, (0,))
+    assert result.examined == 2**30 - 1
+
+
+def all_codewords_minimum(matrix):
+    """Oracle: the lightest nonzero codeword, lex-smallest support on ties,
+    over all 2^n column subsets (independent of the null-space basis)."""
+    best = None
+    count = 0
+    for bits in range(1, 1 << matrix.cols):
+        support = RightSubset(matrix.cols, bits).indices
+        acc = 0
+        for j in support:
+            acc ^= matrix.columns[j]
+        if acc == 0:
+            count += 1
+            if best is None or (len(support), support) < (len(best), best):
+                best = support
+    return best, count
+
+
+@st.composite
+def kernel_matrices(draw):
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        # narrow columns: zero columns, repeated columns and weight ties
+        m = draw(st.integers(1, 3))
+        cols = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
+    else:
+        # full column rank: upper unitriangular on rows 0..n-1, plus up to
+        # two random rows
+        extra = draw(st.integers(0, 2))
+        m = n + extra
+        cols = [
+            (1 << j)
+            | draw(st.integers(0, (1 << j) - 1))
+            | draw(st.integers(0, (1 << extra) - 1)) << n
+            for j in range(n)
+        ]
+    return Gf2Matrix(m, n, tuple(cols))
+
+
+@settings(max_examples=300)
+@given(kernel_matrices())
+# Level 1 finds {3, 4} at weight 2; the lex-smaller {2, 5} is the second
+# sum of two basis vectors, after {0, 1, 2, 3, 4}.
+@example(Gf2Matrix(3, 6, (0b001, 0b010, 0b011, 0b100, 0b100, 0b011)))
+def test_kernel_matches_all_codewords(matrix):
+    support, count = all_codewords_minimum(matrix)
+    result = min_distance_kernel(matrix)
+    assert result.examined == count
+    if support is None:
+        assert result.distance is INFINITE and result.witness is None
+        return
+    assert result.distance == len(support)
+    assert result.witness == RightSubset.of(matrix.cols, support)
+    assert verify_distance_result(matrix, result)
 
 
 def test_subset_demo():
@@ -220,8 +285,10 @@ def test_kernel_subset_agree_small_sweep():
         GenSpec(m=4 + seed % 5, n=3 + seed % 6, d=2 + seed % 2, seed=seed)
         for seed in range(40)
     ]
-    # low-rate codes of distance 6 at n = 26, as in the benchmark corpus
+    # low-rate codes of distance 6 at n = 26 and dimension-20 codes of
+    # distance 2 at n = 28, as in the benchmark corpus
     specs += [GenSpec(18, 26, 5, seed=seed) for seed in range(5)]
+    specs += [GenSpec(8, 28, 3, seed=seed) for seed in range(5)]
     for spec in specs:
         graph = random_right_regular(spec)
         by_kernel = min_distance_kernel(graph.biadjacency())
