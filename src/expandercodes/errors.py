@@ -6,8 +6,9 @@ class ParseError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """An exact operation would exceed its size cap or subset budget.
+    """An exact operation would walk more subsets than its budget allows.
 
-    Raised instead of truncating a search or returning an approximate
-    answer; the caller can retry with a larger explicit budget.
+    Raised before the level that would pass the budget is walked, instead
+    of truncating a search or returning an approximate answer; the caller
+    can retry with a larger explicit budget.
     """

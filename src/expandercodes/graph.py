@@ -22,17 +22,15 @@ from typing import Iterable
 from .errors import CapabilityError
 from .gf2 import Gf2Matrix, nullspace_basis
 from .subsets import (
+    DEFAULT_SUBSET_BUDGET,
     RightSubset,
     bit_indices,
+    charge,
     count_sizes,
-    find_first_at_level,
+    first_hit_by_level,
     level_min_union,
     scan_union_below,
 )
-
-# Default ceiling on the number of subsets one exhaustive operation may
-# enumerate. Exceeding it raises CapabilityError, never a truncated answer.
-DEFAULT_SUBSET_BUDGET = 1 << 28
 
 
 def exact_rational(value, name: str) -> Fraction:
@@ -266,30 +264,18 @@ def check_expansion(
         raise ValueError("expansion checking requires a right-regular graph with d >= 1")
     d, n = graph.d, graph.n
     cap = min(n, math.floor(gamma * n))
-    planned = count_sizes(n, 1, cap)
-    if planned > budget:
-        raise CapabilityError(
-            f"checking all subsets up to size {cap} needs {planned} subsets, "
-            f"over the budget of {budget}"
-        )
-    masks = graph._masks
-    for k in range(1, cap + 1):
-        required = d * alpha * k
-        min_required = math.ceil(required)
-        if min_required <= 0:
-            continue
 
-        def scan(universe, kk, _req=min_required):
-            return scan_union_below(masks, universe, kk, _req)
+    def scan(universe, k):
+        return scan_union_below(graph._masks, universe, k, math.ceil(d * alpha * k))
 
-        hit = find_first_at_level(scan, n, k)
-        if hit is not None:
-            subset = RightSubset.of(n, hit)
-            count = len(graph.neighbor_set(subset))
-            return ExpanderCertificate(
-                graph, gamma, alpha, False, ExpansionViolation(subset, count, required)
-            )
-    return ExpanderCertificate(graph, gamma, alpha, True, None)
+    hit, _ = first_hit_by_level(scan, n, 1, cap, budget)
+    if hit is None:
+        return ExpanderCertificate(graph, gamma, alpha, True, None)
+    subset = RightSubset.of(n, hit)
+    violation = ExpansionViolation(
+        subset, len(graph.neighbor_set(subset)), d * alpha * len(hit)
+    )
+    return ExpanderCertificate(graph, gamma, alpha, False, violation)
 
 
 def expansion_profile(
@@ -300,12 +286,8 @@ def expansion_profile(
     """Exact min |N(S)| for every subset size 1..s_max (full enumeration)."""
     if s_max < 0 or s_max > graph.n:
         raise ValueError(f"s_max must be in [0, {graph.n}], got {s_max}")
-    planned = count_sizes(graph.n, 1, s_max)
-    if planned > budget:
-        raise CapabilityError(
-            f"profiling sizes up to {s_max} needs {planned} subsets, "
-            f"over the budget of {budget}"
-        )
+    # Every level is walked, so the whole range is charged up front.
+    charge(graph.n, 1, s_max, budget)
     mins = []
     for k in range(1, s_max + 1):
         best = level_min_union(graph._masks, graph.n, k)
@@ -384,27 +366,29 @@ def find_bounds_violation(
         raise ValueError("the bounds sweep requires a right-regular graph")
     n, d = graph.n, graph.d
     cap = min(n, math.floor(gamma * n))
-    planned = count_sizes(n, 1, cap)
-    if planned > budget:
-        raise CapabilityError(
-            f"sweeping all subsets up to size {cap} needs {planned} subsets, "
-            f"over the budget of {budget}"
-        )
     masks = graph._masks
-    checked = 0
-    for k in range(1, cap + 1):
+
+    def scan(universe, k):
         lower = d * (1 - 2 * epsilon) * k
-        for combo in combinations(range(n), k):
-            checked += 1
+        for combo in combinations(universe, k):
             odd = 0
             for j in combo:
                 odd ^= masks[j]
-            mid = odd.bit_count()
-            if mid < lower:
-                subset = RightSubset.of(n, combo)
-                upper = len(graph.neighbor_set(subset))
-                return BoundsSweep(gamma, epsilon, cap, checked, (subset, lower, mid, upper))
-    return BoundsSweep(gamma, epsilon, cap, checked, None)
+            if odd.bit_count() < lower:
+                return combo
+        return None
+
+    hit, checked = first_hit_by_level(scan, n, 1, cap, budget)
+    if hit is None:
+        return BoundsSweep(gamma, epsilon, cap, checked, None)
+    subset = RightSubset.of(n, hit)
+    violation = (
+        subset,
+        d * (1 - 2 * epsilon) * len(hit),
+        graph._odd_mask(subset.bits).bit_count(),
+        len(graph.neighbor_set(subset)),
+    )
+    return BoundsSweep(gamma, epsilon, cap, checked, violation)
 
 
 @dataclass(frozen=True)

@@ -21,25 +21,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .errors import CapabilityError
 from .gf2 import Gf2Matrix, nullspace_basis, xor_columns
 from .graph import (
-    DEFAULT_SUBSET_BUDGET,
     BipartiteGraph,
     ExpanderCertificate,
     check_expansion,
     exact_rational,
 )
 from .subsets import (
+    DEFAULT_SUBSET_BUDGET,
     RightSubset,
-    combination_rank,
-    count_sizes,
-    find_first_at_level,
+    charge,
+    first_hit_by_level,
     scan_xor_zero,
 )
-
-MAX_KERNEL_DIMENSION = 30
 
 
 class _InfiniteDistance:
@@ -158,33 +155,13 @@ class PruningParams:
 
 def _search_by_size(graph, start_size, method, threshold, budget):
     n = graph.n
-    cols = graph.biadjacency().columns
-    planned = count_sizes(n, start_size, n)
-    if planned > budget:
-        raise CapabilityError(
-            f"searching sizes {start_size}..{n} needs {planned} subsets, "
-            f"over the budget of {budget}"
-        )
-
-    def scan(universe, k):
-        return scan_xor_zero(cols, universe, k)
-
-    for k in range(start_size, n + 1):
-        hit = find_first_at_level(scan, n, k)
-        if hit is not None:
-            examined = count_sizes(n, start_size, k - 1) + combination_rank(hit, n) + 1
-            return MinDistanceResult(
-                distance=k,
-                witness=RightSubset.of(n, hit),
-                method=method,
-                examined=examined,
-                threshold=threshold,
-            )
+    scan = partial(scan_xor_zero, graph.biadjacency().columns)
+    hit, examined = first_hit_by_level(scan, n, start_size, n, budget)
     return MinDistanceResult(
-        distance=INFINITE,
-        witness=None,
+        distance=INFINITE if hit is None else len(hit),
+        witness=None if hit is None else RightSubset.of(n, hit),
         method=method,
-        examined=count_sizes(n, start_size, n),
+        examined=examined,
         threshold=threshold,
     )
 
@@ -205,7 +182,7 @@ def min_distance_subset(
 
 def min_distance_kernel(
     matrix: Gf2Matrix,
-    max_dimension: int = MAX_KERNEL_DIMENSION,
+    budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> MinDistanceResult:
     """Minimum Hamming weight over all 2^k - 1 nonzero codewords, from a
     null-space basis of the parity-check matrix.
@@ -218,15 +195,15 @@ def min_distance_kernel(
     minimum-weight codeword lies on a level that is walked in full.
     ``examined`` is 2^k - 1, the codewords decided, walked or bounded out.
 
+    Level r is charged C(k, <= r) sums against ``budget`` just before it is
+    walked, after the stop test, so the budget is the only limit on k and a
+    level the cut skips costs nothing.
+
     The witness is the lexicographically smallest support among the
     minimum-weight codewords, matching the subset search tie-break.
     """
     basis = nullspace_basis(matrix)
     k = len(basis)
-    if k > max_dimension:
-        raise CapabilityError(
-            f"code dimension {k} exceeds the kernel-enumeration cap ({max_dimension})"
-        )
     if k == 0:
         return MinDistanceResult(INFINITE, None, "kernel", 0)
     vectors = [b.bits for b in basis]
@@ -256,6 +233,7 @@ def min_distance_kernel(
     for r in range(1, k + 1):
         if r > best_weight:
             break
+        charge(k, 1, r, budget)
         walk(0, 0, r)
     return MinDistanceResult(
         distance=best_weight,
@@ -323,19 +301,6 @@ def verify_distance_result(
         return False
     if xor_columns(matrix, witness).bits != 0:
         return False
-    n = matrix.cols
-    planned = count_sizes(n, 1, d - 1)
-    if planned > budget:
-        raise CapabilityError(
-            f"checking all subsets below size {d} needs {planned} subsets, "
-            f"over the budget of {budget}"
-        )
-    cols = matrix.columns
-
-    def scan(universe, k):
-        return scan_xor_zero(cols, universe, k)
-
-    for k in range(1, d):
-        if find_first_at_level(scan, n, k) is not None:
-            return False
-    return True
+    scan = partial(scan_xor_zero, matrix.columns)
+    hit, _ = first_hit_by_level(scan, matrix.cols, 1, d - 1, budget)
+    return hit is None

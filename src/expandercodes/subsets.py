@@ -1,5 +1,6 @@
 """Right-vertex subsets as fixed-width bitsets, plus deterministic subset
-enumeration shared by every exhaustive search in the package.
+enumeration and the budget rule shared by every exhaustive search in the
+package.
 
 Order contract: subsets are visited by increasing cardinality and, within
 one cardinality, lexicographically on the sorted index tuple (the order
@@ -7,6 +8,11 @@ one cardinality, lexicographically on the sorted index tuple (the order
 combination back to its position in that order; a search reports its
 first hit's position as its ``examined`` count, whatever work it did to
 find the hit.
+
+Budget rule: a walk by levels charges each level just before walking it,
+as the number of subsets on the levels walked so far plus that one
+(``charge``), and refuses with ``CapabilityError`` only when that count
+would pass the budget. A level that is never walked is never charged.
 """
 
 from __future__ import annotations
@@ -18,6 +24,12 @@ from functools import reduce
 from itertools import combinations
 from operator import xor
 from typing import Callable, Iterable, Sequence
+
+from .errors import CapabilityError
+
+# Default ceiling on the subsets one exhaustive operation may walk, counted
+# by ``charge``. Passing it raises CapabilityError, never a truncated answer.
+DEFAULT_SUBSET_BUDGET = 1 << 28
 
 
 def bit_indices(bits: int) -> tuple[int, ...]:
@@ -102,6 +114,18 @@ def combination_rank(combo: Sequence[int], n: int) -> int:
 def count_sizes(n: int, lo: int, hi: int) -> int:
     """Number of subsets of [0, n) with size in [lo, hi]."""
     return sum(math.comb(n, s) for s in range(max(lo, 0), min(hi, n) + 1))
+
+
+def charge(n: int, lo: int, k: int, budget: int) -> None:
+    """Admit level k of a walk over subsets of [0, n) that began at size
+    ``lo``: raise CapabilityError if the subsets of sizes lo..k number more
+    than ``budget``."""
+    spent = count_sizes(n, lo, k)
+    if spent > budget:
+        raise CapabilityError(
+            f"walking sizes {lo}..{k} of {n} elements takes {spent} subsets, "
+            f"over the budget of {budget}"
+        )
 
 
 def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
@@ -218,3 +242,22 @@ def find_first_at_level(
     if k > n or k < 1:
         return None
     return scan(range(n), k)
+
+
+def first_hit_by_level(
+    scan: Callable[[Sequence[int], int], tuple | None],
+    n: int,
+    lo: int,
+    hi: int,
+    budget: int,
+):
+    """First subset of [0, n) that ``scan`` reports, by size from ``lo`` to
+    ``hi`` and lex within a size, with its 1-based position in that order;
+    (None, the count of all those subsets) if there is none. Each level is
+    charged just before it is walked."""
+    for k in range(lo, hi + 1):
+        charge(n, lo, k, budget)
+        hit = find_first_at_level(scan, n, k)
+        if hit is not None:
+            return hit, count_sizes(n, lo, k - 1) + combination_rank(hit, n) + 1
+    return None, count_sizes(n, lo, hi)

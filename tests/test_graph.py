@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expandercodes import (
     BipartiteGraph,
@@ -189,6 +191,50 @@ def test_find_bounds_violation_reports_first():
     subset, lower, mid, upper = sweep.violation
     assert subset == RightSubset.of(3, (0, 1))
     assert mid == 0 and upper == 2 and lower == 3
+
+
+SLACKS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(3, 8))
+
+
+def bounds_case(seed, d, extra, n, size_cap, epsilon):
+    """A seeded graph's expansion certificate and bounds sweep at
+    gamma = size_cap/n and alpha = 1 - epsilon."""
+    graph = random_right_regular(GenSpec(d + extra, n, d, seed))
+    gamma = Fraction(min(size_cap, n), n)
+    cert = check_expansion(graph, gamma, 1 - epsilon)
+    return cert, find_bounds_violation(graph, gamma, epsilon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    d=st.integers(2, 4),
+    extra=st.integers(0, 8),
+    n=st.integers(1, 9),
+    size_cap=st.integers(1, 3),
+    epsilon=st.sampled_from(SLACKS),
+)
+def test_certified_graph_has_no_bounds_violation(seed, d, extra, n, size_cap, epsilon):
+    # |odd(S)| >= 2|N(S)| - d|S| >= d(1 - 2*epsilon)|S| under the certificate
+    # (the unique-neighbor step of Sipser-Spielman, "Expander codes", 1996).
+    cert, sweep = bounds_case(seed, d, extra, n, size_cap, epsilon)
+    if cert.verified:
+        assert sweep.violation is None
+
+
+def test_uncertified_graph_can_violate_bounds():
+    # Positive control for the property above: over the same kind of graph
+    # both outcomes occur, and only uncertified graphs show violations.
+    certified = violated = 0
+    for seed in range(40):
+        for size_cap in (1, 2, 3):
+            for epsilon in SLACKS:
+                cert, sweep = bounds_case(seed, 2 + seed % 3, 3 + seed % 8, 3 + seed % 7,
+                                          size_cap, epsilon)
+                certified += cert.verified
+                violated += sweep.violation is not None
+                assert not (cert.verified and sweep.violation is not None)
+    assert certified > 0 and violated > 0
 
 
 @pytest.mark.parametrize("gamma", [0, -1])

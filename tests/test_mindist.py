@@ -70,16 +70,17 @@ def test_kernel_duplicate_column_distance_two():
 
 
 def test_kernel_dimension_cap():
-    with pytest.raises(CapabilityError):
-        min_distance_kernel(Gf2Matrix.zeros(1, 12), max_dimension=10)
-    with pytest.raises(CapabilityError):
-        min_distance_kernel(Gf2Matrix.zeros(1, 31))
-    # At the default cap only the level cut makes this finish: level 1
-    # finds weight 1 and no level is walked after it.
-    result = min_distance_kernel(Gf2Matrix.zeros(1, 30))
+    # The budget is the only limit on the dimension: level 1 of a
+    # dimension-k code costs k sums, it finds weight 1, and the level cut
+    # stops the walk before level 2 is charged.
+    result = min_distance_kernel(Gf2Matrix.zeros(1, 31))
     assert result.distance == 1
-    assert result.witness == RightSubset.of(30, (0,))
-    assert result.examined == 2**30 - 1
+    assert result.witness == RightSubset.of(31, (0,))
+    assert result.examined == 2**31 - 1
+    with pytest.raises(CapabilityError, match="over the budget of 11"):
+        min_distance_kernel(Gf2Matrix.zeros(1, 12), budget=11)
+    result = min_distance_kernel(Gf2Matrix.zeros(1, 12), budget=12)
+    assert (result.distance, result.witness) == (1, RightSubset.of(12, (0,)))
 
 
 def all_codewords_minimum(matrix):
@@ -184,9 +185,15 @@ def test_subset_path_code_distance_n():
 
 def test_subset_right_cap():
     graph = BipartiteGraph(1, 30, ((0,),) * 30)
-    # 2^30 - 1 subsets: over the default budget of 2^28.
-    with pytest.raises(CapabilityError, match="over the budget"):
-        min_distance_subset(graph)
+    # Levels 1 and 2 hold 30 + 435 = 465 subsets; level 2 has the witness.
+    with pytest.raises(CapabilityError, match="over the budget of 464"):
+        min_distance_subset(graph, budget=464)
+    # Charging level 3 would pass this budget, so answering shows it is
+    # never charged.
+    for result in (min_distance_subset(graph, budget=465), min_distance_subset(graph)):
+        assert result.distance == 2
+        assert result.witness == RightSubset.of(30, (0, 1))
+        assert result.examined == 31
 
 
 def test_infinite_marker_refuses_ordering():
@@ -300,6 +307,33 @@ def test_kernel_subset_agree_small_sweep():
             assert not graph.odd_neighborhood(by_subset.witness)
             assert is_minimal_dependent(graph.biadjacency(), by_subset.witness)
             assert verify_distance_result(graph.biadjacency(), by_subset)
+
+
+# Distance by subset search under the default budget, None where it refuses:
+# those codes have distance 8, and level 7 of n = 56 holds C(56, <= 7) =
+# 268,602,258 > 2^28 subsets.
+LARGE_N = [
+    *zip((GenSpec(28, 56, 5, seed) for seed in range(8)), (6, 4, 6, None, None, 6, None, None)),
+    *zip((GenSpec(32, 64, 4, seed) for seed in range(4)), (5, 6, 2, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, distance", LARGE_N, ids=[f"n{s.n}-seed{s.seed}" for s, _ in LARGE_N]
+)
+def test_kernel_subset_agree_past_28_right_vertices(spec, distance):
+    # n = 56 and 64, code dimension 28 and 33: the budget is charged by the
+    # levels walked, so neither the right side nor the dimension is capped.
+    graph = random_right_regular(spec)
+    if distance is None:
+        with pytest.raises(CapabilityError, match="sizes 1..7 of 56"):
+            min_distance_subset(graph)
+        return
+    by_subset = min_distance_subset(graph)
+    by_kernel = min_distance_kernel(graph.biadjacency())
+    assert by_subset.distance == by_kernel.distance == distance
+    assert by_subset.witness == by_kernel.witness
+    assert verify_distance_result(graph.biadjacency(), by_subset)
 
 
 def test_examined_counter_matches_recount():
