@@ -50,12 +50,21 @@ def rational(text: str) -> Fraction:
             f"expected an exact rational 'p/q' or integer, got {text!r} "
             "(floats are rejected)"
         )
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            if int(den) == 0:
+                raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except ValueError as exc:  # int() refuses strings past the interpreter's digit limit
+        raise argparse.ArgumentTypeError(f"too many digits for an exact rational: {exc}") from None
+
+
+def _rational_arg(text: str) -> Fraction:
+    # Looks up the module's rational at parse time, not when the parser is
+    # built, so a rebinding of cli.rational after the first build is used.
+    return rational(text)
 
 
 def load_graph(source: str, fmt: str) -> BipartiteGraph:
@@ -206,7 +215,16 @@ def cmd_lemmas(args) -> int:
     return 0
 
 
+_parser = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared afterwards."""
+    global _parser
+    # Parsing and parser.error only read a built parser, so two threads that
+    # both build it first lose nothing and need no lock.
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="expandercodes",
         description=(
@@ -227,28 +245,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mindist", help="exact minimum distance of the graph's code")
     add_graph_args(p)
     p.add_argument("--method", choices=("subset", "kernel", "pruned"), default="subset")
-    p.add_argument("--gamma", type=rational, help="expansion fraction (pruned method)")
-    p.add_argument("--epsilon", type=rational, help="expansion slack (pruned method)")
-    p.set_defaults(func=cmd_mindist, parser=p)
+    p.add_argument("--gamma", type=_rational_arg, help="expansion fraction (pruned method)")
+    p.add_argument("--epsilon", type=_rational_arg, help="expansion slack (pruned method)")
+    p.set_defaults(parser=p)
 
     p = sub.add_parser("verify", help="certify the expansion inequality exhaustively")
     add_graph_args(p)
-    p.add_argument("--gamma", type=rational, required=True)
-    p.add_argument("--alpha", type=rational, required=True)
-    p.set_defaults(func=cmd_verify, parser=p)
+    p.add_argument("--gamma", type=_rational_arg, required=True)
+    p.add_argument("--alpha", type=_rational_arg, required=True)
 
     p = sub.add_parser("profile", help="exact min |N(S)| per subset size")
     add_graph_args(p)
     p.add_argument("--max-size", type=int, help="largest subset size to profile")
-    p.add_argument("--gamma", type=rational, help="also report the best alpha at gamma")
-    p.set_defaults(func=cmd_profile, parser=p)
+    p.add_argument("--gamma", type=_rational_arg, help="also report the best alpha at gamma")
 
     p = sub.add_parser("bound", help="certified distance lower bound 2(1-eps)*gamma*n")
-    p.add_argument("--gamma", type=rational, required=True)
-    p.add_argument("--epsilon", type=rational, required=True)
+    p.add_argument("--gamma", type=_rational_arg, required=True)
+    p.add_argument("--epsilon", type=_rational_arg, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bound, parser=p)
 
     p = sub.add_parser("gen", help="seeded random right-regular graph to stdout")
     p.add_argument("--m", type=int, required=True)
@@ -256,17 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=FORMATS, default="edge-list")
-    p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser(
         "lemmas",
         help="exhaustively check the odd-neighborhood bounds and the partition property",
     )
     add_graph_args(p)
-    p.add_argument("--gamma", type=rational, required=True)
-    p.add_argument("--epsilon", type=rational, required=True)
-    p.set_defaults(func=cmd_lemmas, parser=p)
+    p.add_argument("--gamma", type=_rational_arg, required=True)
+    p.add_argument("--epsilon", type=_rational_arg, required=True)
 
+    _parser = parser
     return parser
 
 
@@ -274,7 +288,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Resolved per call, so a rebinding of a cmd_* function is used.
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,16 @@
 """CLI surface: subcommands, exit statuses, exact rational I/O, JSON."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import expandercodes
+from expandercodes import cli
 
 from expandercodes import (
     GenSpec,
@@ -39,6 +46,18 @@ def test_float_option_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--gamma", "0.5", "--epsilon", "1/3", "--n", "4"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "value", ["1" * 5000, "1/" + "3" * 5000], ids=["numerator", "denominator"]
+)
+def test_overlong_rational_is_usage_error(value, capsys):
+    # past the interpreter's int() digit limit: rational's own message, not
+    # argparse's generic "invalid <converter name> value"
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--gamma", value, "--epsilon", "1/3", "--n", "4"])
+    assert exc.value.code == 2
+    assert "argument --gamma: too many digits for an exact rational" in capsys.readouterr().err
 
 
 def test_mindist_pruned_demo(capsys):
@@ -223,3 +242,63 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_built_once_and_names_bound_per_call(monkeypatch, capsys):
+    # The parser is shared, but rational and the cmd_* functions are looked
+    # up when a command runs, so rebinding them after the first build works.
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+
+    def fake_rational(text):
+        calls.append(text)
+        return Fraction(7, 9)
+
+    def fake_verify(args):
+        calls.append((args.gamma, args.alpha))
+        return 5
+
+    monkeypatch.setattr(cli, "rational", fake_rational)
+    monkeypatch.setattr(cli, "cmd_verify", fake_verify)
+    assert main(["verify", "figure1", "--gamma", "1/2", "--alpha", "2/3"]) == 5
+    assert calls == ["1/2", "2/3", (Fraction(7, 9), Fraction(7, 9))]
+
+
+def _run_in_process(capsys, argv):
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def _run_fresh(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(expandercodes.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "expandercodes.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_share_no_state(monkeypatch, capsys):
+    # Options set in one call, usage errors and --help must not change what a
+    # later call in the same process prints.
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    pruned = ["mindist", "figure1", "--method", "pruned"]
+    sequence = [
+        [*pruned, "--gamma", "1/2", "--epsilon", "1/3"],
+        ["mindist", "figure1"],
+        pruned,
+        ["verify", "figure1", "--gamma", "1/2", "--alpha", "9/10"],
+        [*pruned, "--gamma", "0.5", "--epsilon", "1/3"],
+        ["profile", "figure1", "--gamma", "1/2", "--json"],
+        ["mindist", "--help"],
+        ["lemmas", "figure1", "--gamma", "1/2", "--epsilon", "1/3"],
+        ["mindist", "figure1"],
+    ]
+    results = [_run_in_process(capsys, argv) for argv in sequence]
+    assert [status for status, _, _ in results] == [0, 0, 2, 0, 2, 0, 0, 0, 0]
+    for argv, result in zip(sequence, results):
+        assert result == _run_fresh(argv), argv
