@@ -48,10 +48,22 @@ def test_float_option_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.fixture
+def int_digit_limit():
+    # CPython before 3.10.7 has no int() digit limit, and -X int_max_str_digits=0
+    # turns it off; pin the default limit so the test does not depend on either.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int() digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
 @pytest.mark.parametrize(
     "value", ["1" * 5000, "1/" + "3" * 5000], ids=["numerator", "denominator"]
 )
-def test_overlong_rational_is_usage_error(value, capsys):
+def test_overlong_rational_is_usage_error(value, capsys, int_digit_limit):
     # past the interpreter's int() digit limit: rational's own message, not
     # argparse's generic "invalid <converter name> value"
     with pytest.raises(SystemExit) as exc:
