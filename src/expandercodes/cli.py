@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit status: 0 on success, 1 on domain/precondition/capability errors,
-2 on parse and usage errors. Rational options are written "p/q" or as
-integers; floats are rejected. All rationals in the output are printed
-exactly.
+2 on parse and usage errors. Rational options are written unsigned, as
+"p/q" or as integers; floats and signs other than "+" are rejected. All
+rationals in the output are printed exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .graph import (
     expansion_profile,
     find_bounds_violation,
     find_partition_violation,
+    size_cap,
 )
 from .instances import (
     FORMATS,
@@ -39,12 +40,12 @@ from .mindist import (
     min_distance_subset,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^\+?\d+(/\d+)?$")
 
 
 def rational(text: str) -> Fraction:
-    """Parse "p/q" or an integer string; anything else (floats included) is
-    a usage error."""
+    """Parse an unsigned "p/q" or integer string; anything else (floats and
+    negative values included) is a usage error."""
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(
             f"expected an exact rational 'p/q' or integer, got {text!r} "
@@ -119,13 +120,7 @@ def cmd_verify(args) -> int:
     print(f"graph: m={graph.m} n={graph.n} d={graph.d}")
     print(f"gamma: {cert.gamma}  alpha: {cert.alpha}")
     if cert.violation is not None:
-        v = cert.violation.to_record(graph.m)
-        print(
-            "violation: subset "
-            + " ".join(map(str, v["indices"]))
-            + f" (labels {' '.join(map(str, v['labels']))})"
-            + f" has {v['neighbors']} neighbors, needs at least {v['required']}"
-        )
+        print("violation: " + cert.violation.describe(graph.m))
     return 0
 
 
@@ -134,7 +129,7 @@ def cmd_profile(args) -> int:
     if args.max_size is not None:
         s_max = args.max_size
     elif args.gamma is not None:
-        s_max = min(graph.n, int(args.gamma * graph.n))
+        s_max = size_cap(args.gamma, graph.n)
     else:
         s_max = graph.n
     profile = expansion_profile(graph, s_max)
@@ -177,18 +172,7 @@ def cmd_gen(args) -> int:
 
 def cmd_lemmas(args) -> int:
     graph = load_graph(args.graph, args.format)
-    alpha = 1 - args.epsilon
-    cert = check_expansion(graph, args.gamma, alpha)
-    if not cert.verified:
-        v = cert.violation.to_record(graph.m)
-        print(
-            f"error: graph is not a (gamma={args.gamma}, alpha={alpha}) expander: "
-            f"subset {' '.join(map(str, v['indices']))} "
-            f"(labels {' '.join(map(str, v['labels']))}) has {v['neighbors']} "
-            f"neighbors, needs at least {v['required']}",
-            file=sys.stderr,
-        )
-        return 1
+    cert = PruningParams.certify(graph, args.gamma, args.epsilon).certificate
     # Under the certificate every |S| <= gamma*n has |odd(S)| >= 2|N(S)| - d|S|
     # >= d(1 - 2*epsilon)|S| (the unique-neighbor step of Sipser-Spielman),
     # so the sweep finds no violation; it still reports what it checked.

@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .errors import CapabilityError
 from .gf2 import Gf2Matrix, nullspace_basis
 from .subsets import (
     DEFAULT_SUBSET_BUDGET,
@@ -34,12 +33,30 @@ from .subsets import (
 
 
 def exact_rational(value, name: str) -> Fraction:
-    """Coerce to Fraction, rejecting floats outright."""
+    """Coerce a positive parameter (gamma, alpha, epsilon) to Fraction,
+    rejecting floats outright and values <= 0."""
     if isinstance(value, float):
         raise TypeError(f"{name} must be an exact rational (int or Fraction), not float")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"{name} must be an exact rational (int or Fraction)")
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name} must be an exact rational (int or Fraction)")
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return Fraction(value)
+
+
+def exact_epsilon(value) -> Fraction:
+    """Coerce epsilon to Fraction and require the paper's slack range,
+    below 1/2 as well as positive."""
+    epsilon = exact_rational(value, "epsilon")
+    if epsilon >= Fraction(1, 2):
+        raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
+    return epsilon
+
+
+def size_cap(gamma, n: int) -> int:
+    """Largest subset size the expansion hypothesis constrains on n right
+    vertices: min(n, floor(gamma*n)) for gamma > 0."""
+    return min(n, math.floor(exact_rational(gamma, "gamma") * n))
 
 
 @dataclass(frozen=True)
@@ -162,20 +179,28 @@ class ExpansionViolation:
     required: Fraction
 
     def to_record(self, m: int) -> dict:
-        indices = list(self.subset.indices)
         return {
-            "indices": indices,
-            "labels": [m + 1 + j for j in indices],
+            **self.subset.to_record(m),
             "neighbors": self.neighbor_count,
             "required": str(self.required),
         }
+
+    def describe(self, m: int) -> str:
+        """The counterexample as one sentence, naming the subset by indices
+        and by labels (see ``RightSubset.to_record``)."""
+        rec = self.subset.to_record(m)
+        return (
+            f"subset {' '.join(map(str, rec['indices']))} "
+            f"(labels {' '.join(map(str, rec['labels']))}) has {self.neighbor_count} "
+            f"neighbors, needs at least {self.required}"
+        )
 
 
 @dataclass(frozen=True)
 class ExpanderCertificate:
     """Outcome of exhaustively checking the expansion inequality on one graph.
 
-    When ``verified`` no nonempty subset of size <= floor(gamma*n) violates
+    When ``verified`` no nonempty subset of size <= size_cap(gamma, n) violates
     |N(S)| >= d*alpha*|S|; otherwise ``violation`` is the first
     counterexample in (cardinality, lex) enumeration order.
     """
@@ -218,14 +243,13 @@ class ExpansionProfile:
 
     def best_alpha(self, gamma) -> Fraction | None:
         """Largest alpha for which the graph expands at this gamma, i.e.
-        min over sizes s <= floor(gamma*n) of min_neighbors(s) / (d*s).
+        min over sizes s <= size_cap(gamma, n) of min_neighbors(s) / (d*s).
 
-        None when floor(gamma*n) < 1 (nothing to constrain).
+        None when the cap is 0 (nothing to constrain).
         """
         if self.d is None:
             raise ValueError("best_alpha requires a right-regular graph")
-        gamma = exact_rational(gamma, "gamma")
-        cap = min(self.n, math.floor(gamma * self.n))
+        cap = size_cap(gamma, self.n)
         if cap < 1:
             return None
         if cap > self.s_max:
@@ -249,21 +273,17 @@ def check_expansion(
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> ExpanderCertificate:
     """Exhaustively certify |N(S)| >= d*alpha*|S| for all nonempty S with
-    |S| <= floor(gamma*n).
+    |S| <= size_cap(gamma, n).
 
     Comparisons are exact rational; the reported counterexample (if any) is
     the first in (cardinality, lex) order.
     """
     gamma = exact_rational(gamma, "gamma")
     alpha = exact_rational(alpha, "alpha")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
     if graph.d is None or graph.d < 1:
         raise ValueError("expansion checking requires a right-regular graph with d >= 1")
     d, n = graph.d, graph.n
-    cap = min(n, math.floor(gamma * n))
+    cap = size_cap(gamma, n)
 
     def scan(universe, k):
         return scan_union_below(graph._masks, universe, k, math.ceil(d * alpha * k))
@@ -288,11 +308,8 @@ def expansion_profile(
         raise ValueError(f"s_max must be in [0, {graph.n}], got {s_max}")
     # Every level is walked, so the whole range is charged up front.
     charge(graph.n, 1, s_max, budget)
-    mins = []
-    for k in range(1, s_max + 1):
-        best = level_min_union(graph._masks, graph.n, k)
-        mins.append(best if best is not None else 0)
-    return ExpansionProfile(graph.n, graph.d, tuple(mins))
+    mins = tuple(level_min_union(graph._masks, graph.n, k) for k in range(1, s_max + 1))
+    return ExpansionProfile(graph.n, graph.d, mins)
 
 
 def odd_neighborhood_bounds(graph: BipartiteGraph, subset: RightSubset, epsilon):
@@ -316,7 +333,7 @@ def odd_neighborhood_bounds(graph: BipartiteGraph, subset: RightSubset, epsilon)
 @dataclass(frozen=True)
 class BoundsSweep:
     """Exhaustive run of the sandwich inequality over all nonempty subsets
-    up to floor(gamma*n); ``violation`` holds the first failure if any."""
+    up to size_cap(gamma, n); ``violation`` holds the first failure if any."""
 
     gamma: Fraction
     epsilon: Fraction
@@ -334,10 +351,8 @@ class BoundsSweep:
         }
         if self.violation is not None:
             subset, lower, odd, nbhd = self.violation
-            indices = list(subset.indices)
             rec["violation"] = {
-                "indices": indices,
-                "labels": [m + 1 + j for j in indices],
+                **subset.to_record(m),
                 "lower": str(lower),
                 "odd_neighborhood": odd,
                 "neighborhood": nbhd,
@@ -351,7 +366,7 @@ def find_bounds_violation(
     epsilon,
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> BoundsSweep:
-    """Scan all nonempty S with |S| <= floor(gamma*n) for a failure of
+    """Scan all nonempty S with |S| <= size_cap(gamma, n) for a failure of
     d*(1-2*eps)*|S| <= |odd(S)| <= |N(S)|, in (cardinality, lex) order.
 
     odd(S) is a subset of N(S), so the right-hand inequality always holds
@@ -359,13 +374,11 @@ def find_bounds_violation(
     of a violation.
     """
     gamma = exact_rational(gamma, "gamma")
-    epsilon = exact_rational(epsilon, "epsilon")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    epsilon = exact_epsilon(epsilon)
     if graph.d is None:
         raise ValueError("the bounds sweep requires a right-regular graph")
     n, d = graph.n, graph.d
-    cap = min(n, math.floor(gamma * n))
+    cap = size_cap(gamma, n)
     masks = graph._masks
 
     def scan(universe, k):
@@ -382,12 +395,7 @@ def find_bounds_violation(
     if hit is None:
         return BoundsSweep(gamma, epsilon, cap, checked, None)
     subset = RightSubset.of(n, hit)
-    violation = (
-        subset,
-        d * (1 - 2 * epsilon) * len(hit),
-        graph._odd_mask(subset.bits).bit_count(),
-        len(graph.neighbor_set(subset)),
-    )
+    violation = (subset, *odd_neighborhood_bounds(graph, subset, epsilon))
     return BoundsSweep(gamma, epsilon, cap, checked, violation)
 
 
@@ -426,15 +434,13 @@ def find_partition_violation(
     codewords, walked once from a null-space basis in Gray-code order; a
     codeword of weight w has 2^(w-1) - 1 bipartitions. Every other nonempty
     subset has a nonempty odd neighborhood, so ``subsets_checked`` is all
-    2^n - 1 of them. The budget bounds the codewords walked.
+    2^n - 1 of them. The 2^k - 1 codewords of a dimension-k code are the
+    nonempty subsets of its basis, and are charged as such.
     """
     basis = [v.bits for v in nullspace_basis(graph.biadjacency())]
-    codewords = (1 << len(basis)) - 1
-    if codewords > budget:
-        raise CapabilityError(
-            f"walking the {codewords} nonzero codewords of a dimension-"
-            f"{len(basis)} code is over the budget of {budget}"
-        )
+    k = len(basis)
+    charge(k, 1, k, budget)
+    codewords = (1 << k) - 1
     partitions = 0
     acc = 0
     prev_gray = 0

@@ -28,6 +28,7 @@ from .graph import (
     BipartiteGraph,
     ExpanderCertificate,
     check_expansion,
+    exact_epsilon,
     exact_rational,
 )
 from .subsets import (
@@ -81,17 +82,10 @@ class MinDistanceResult:
         return self.distance is INFINITE
 
     def to_record(self, left_count: int) -> dict:
-        witness = None
-        if self.witness is not None:
-            indices = list(self.witness.indices)
-            witness = {
-                "indices": indices,
-                "labels": [left_count + 1 + j for j in indices],
-            }
         return {
             "method": self.method,
             "distance": "infinite" if self.is_infinite else self.distance,
-            "witness": witness,
+            "witness": None if self.witness is None else self.witness.to_record(left_count),
             "examined": self.examined,
             "threshold": None if self.threshold is None else str(self.threshold),
         }
@@ -101,9 +95,10 @@ class MinDistanceResult:
 class PruningParams:
     """Certified inputs for the pruned search.
 
-    Requires 0 < epsilon < 1/2 and a certificate verified for this gamma
-    with alpha = 1 - epsilon; construction fails otherwise so the pruned
-    search can never run on an unproven expansion claim.
+    Requires an epsilon that ``exact_epsilon`` admits and a certificate
+    verified for this gamma with alpha = 1 - epsilon; construction fails
+    otherwise so the pruned search can never run on an unproven expansion
+    claim.
     """
 
     gamma: Fraction
@@ -112,11 +107,9 @@ class PruningParams:
 
     def __post_init__(self):
         gamma = exact_rational(self.gamma, "gamma")
-        epsilon = exact_rational(self.epsilon, "epsilon")
+        epsilon = exact_epsilon(self.epsilon)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "epsilon", epsilon)
-        if not 0 < epsilon < Fraction(1, 2):
-            raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
         if not self.certificate.verified:
             raise ValueError("pruning requires a verified expansion certificate")
         if self.certificate.gamma != gamma:
@@ -137,18 +130,15 @@ class PruningParams:
         epsilon,
         budget: int = DEFAULT_SUBSET_BUDGET,
     ) -> "PruningParams":
-        """Run the expansion check for (gamma, 1 - epsilon) and wrap it."""
+        """Run the expansion check for (gamma, 1 - epsilon) and wrap it;
+        refuse with the first counterexample if the graph does not expand."""
         gamma = exact_rational(gamma, "gamma")
-        epsilon = exact_rational(epsilon, "epsilon")
-        if not 0 < epsilon < Fraction(1, 2):
-            raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
+        epsilon = exact_epsilon(epsilon)
         cert = check_expansion(graph, gamma, 1 - epsilon, budget=budget)
         if not cert.verified:
-            v = cert.violation
             raise ValueError(
                 f"graph is not a (gamma={gamma}, alpha={1 - epsilon}) expander: "
-                f"subset {list(v.subset.indices)} has {v.neighbor_count} neighbors, "
-                f"needs at least {v.required}"
+                + cert.violation.describe(graph.m)
             )
         return cls(gamma, epsilon, cert)
 
@@ -272,11 +262,7 @@ def min_distance_pruned(
 def distance_lower_bound(gamma, epsilon, n: int) -> Fraction:
     """The certified-expansion distance bound 2*(1-eps)*gamma*n, exactly."""
     gamma = exact_rational(gamma, "gamma")
-    epsilon = exact_rational(epsilon, "epsilon")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if not 0 < epsilon < Fraction(1, 2):
-        raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
+    epsilon = exact_epsilon(epsilon)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return 2 * (1 - epsilon) * gamma * n

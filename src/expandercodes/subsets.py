@@ -13,6 +13,7 @@ Budget rule: a walk by levels charges each level just before walking it,
 as the number of subsets on the levels walked so far plus that one
 (``charge``), and refuses with ``CapabilityError`` only when that count
 would pass the budget. A level that is never walked is never charged.
+Every budget refusal in the package comes from ``charge``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ class RightSubset:
             raise IndexError(f"right-vertex index {v} out of range [0, {self.n})")
         return RightSubset(self.n, self.bits ^ (1 << v))
 
+    def to_record(self, m: int) -> dict:
+        """0-based indices and 1-based display labels: with ``m`` left
+        vertices labeled 1..m, the right ones are labeled m+1..m+n."""
+        indices = list(self.indices)
+        return {"indices": indices, "labels": [m + 1 + j for j in indices]}
+
 
 def combination_rank(combo: Sequence[int], n: int) -> int:
     """0-based position of a sorted combination among C(n, k) in lex order."""
@@ -118,8 +125,8 @@ def count_sizes(n: int, lo: int, hi: int) -> int:
 
 def charge(n: int, lo: int, k: int, budget: int) -> None:
     """Admit level k of a walk over subsets of [0, n) that began at size
-    ``lo``: raise CapabilityError if the subsets of sizes lo..k number more
-    than ``budget``."""
+    ``lo``: refuse with CapabilityError if the subsets of sizes lo..k
+    number more than ``budget``."""
     spent = count_sizes(n, lo, k)
     if spent > budget:
         raise CapabilityError(

@@ -48,6 +48,28 @@ def test_float_option_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, status, message",
+    [
+        (["verify", "figure1", "--gamma", "-1/2", "--alpha", "1"], 2, "expected one argument"),
+        (["verify", "figure1", "--gamma=-1/2", "--alpha", "1"], 2, "expected an exact rational"),
+        (["verify", "figure1", "--gamma", "-1", "--alpha", "1"], 2, "expected an exact rational"),
+        (["verify", "figure1", "--gamma", "+1/2", "--alpha", "1"], 0, ""),
+        (["profile", "figure1", "--gamma", "0"], 1, "gamma must be > 0"),
+        (["lemmas", "figure1", "--gamma", "1/2", "--epsilon", "1/2"], 1, "0 < epsilon < 1/2"),
+        (["lemmas", "figure1", "--gamma", "1/2", "--epsilon", "1"], 1, "0 < epsilon < 1/2"),
+    ],
+    ids=["minus-separate", "minus-joined", "minus-integer", "plus", "profile-gamma-zero",
+         "lemmas-epsilon-half", "lemmas-epsilon-one"],
+)
+def test_rational_option_rules(argv, status, message, capsys):
+    # Rational options are unsigned, so every negative spelling is a usage
+    # error; zero and out-of-range epsilons are domain errors.
+    result, _, err = _run_in_process(capsys, argv)
+    assert result == status
+    assert message in err
+
+
 @pytest.fixture
 def int_digit_limit():
     # CPython before 3.10.7 has no int() digit limit, and -X int_max_str_digits=0
@@ -231,9 +253,16 @@ def test_lemmas_demo_all_hold(capsys):
 
 
 def test_lemmas_refuses_non_expander(capsys):
-    status, _, err = run(capsys, "lemmas", "figure1", "--gamma", "1/2", "--epsilon", "1/10")
-    assert status == 1
-    assert "not a (gamma=1/2, alpha=9/10) expander" in err
+    # lemmas and the pruned search refuse with the same certificate sentence
+    for command in (["lemmas"], ["mindist", "--method", "pruned"]):
+        status, _, err = run(
+            capsys, *command, "figure1", "--gamma", "1/2", "--epsilon", "1/10"
+        )
+        assert status == 1
+        assert (
+            "not a (gamma=1/2, alpha=9/10) expander: "
+            "subset 0 2 (labels 6 8) has 3 neighbors, needs at least 18/5"
+        ) in err
 
 
 def test_missing_file_is_exit_two(capsys):

@@ -237,12 +237,22 @@ def test_uncertified_graph_can_violate_bounds():
     assert certified > 0 and violated > 0
 
 
-@pytest.mark.parametrize("gamma", [0, -1])
-def test_find_bounds_violation_rejects_nonpositive_gamma(gamma):
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: find_bounds_violation(G, 0, Fraction(1, 4)), "gamma must be > 0"),
+        (lambda: find_bounds_violation(G, -1, Fraction(1, 4)), "gamma must be > 0"),
+        (lambda: find_bounds_violation(G, HALF, HALF), "0 < epsilon < 1/2"),
+        (lambda: expansion_profile(G, 2).best_alpha(0), "gamma must be > 0"),
+    ],
+    ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
+         "best_alpha-gamma-zero"],
+)
+def test_parameter_rules_refuse(call, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be
-    # checked and the sweep would pass vacuously.
-    with pytest.raises(ValueError, match="gamma must be > 0"):
-        find_bounds_violation(G, gamma, Fraction(1, 4))
+    # checked and a sweep would pass vacuously.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_find_partition_violation_none_on_demo():
@@ -294,5 +304,7 @@ def test_partition_property_brute_force_seeded():
 
 
 def test_find_partition_violation_budget():
-    with pytest.raises(CapabilityError):
+    # figure1's code has dimension 1: one nonzero codeword to walk
+    with pytest.raises(CapabilityError, match="over the budget of 0"):
         find_partition_violation(G, budget=0)
+    assert find_partition_violation(G, budget=1).empty_odd_found == 1
