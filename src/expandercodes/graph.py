@@ -59,6 +59,14 @@ def size_cap(gamma, n: int) -> int:
     return min(n, math.floor(exact_rational(gamma, "gamma") * n))
 
 
+def _expansion_degree(d: int | None) -> int:
+    """The right-degree d in |N(S)| >= d*alpha*|S|; refuse an irregular
+    graph, and d = 0, where every ratio to d*|S| divides by zero."""
+    if d is None or d < 1:
+        raise ValueError("expansion checking requires a right-regular graph with d >= 1")
+    return d
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable bipartite graph stored as sorted neighbor tuples per right
@@ -247,8 +255,7 @@ class ExpansionProfile:
 
         None when the cap is 0 (nothing to constrain).
         """
-        if self.d is None:
-            raise ValueError("best_alpha requires a right-regular graph")
+        d = _expansion_degree(self.d)
         cap = size_cap(gamma, self.n)
         if cap < 1:
             return None
@@ -256,7 +263,7 @@ class ExpansionProfile:
             raise ValueError(
                 f"profile covers sizes up to {self.s_max}, need {cap} for this gamma"
             )
-        return min(Fraction(self.min_neighbors[s - 1], self.d * s) for s in range(1, cap + 1))
+        return min(Fraction(self.min_neighbors[s - 1], d * s) for s in range(1, cap + 1))
 
     def to_record(self) -> dict:
         return {
@@ -280,9 +287,7 @@ def check_expansion(
     """
     gamma = exact_rational(gamma, "gamma")
     alpha = exact_rational(alpha, "alpha")
-    if graph.d is None or graph.d < 1:
-        raise ValueError("expansion checking requires a right-regular graph with d >= 1")
-    d, n = graph.d, graph.n
+    d, n = _expansion_degree(graph.d), graph.n
     cap = size_cap(gamma, n)
 
     def scan(universe, k):

@@ -6,7 +6,9 @@ graph's biadjacency matrix, by three mutually validating methods.
   weight found (the basis is systematic, so such a sum weighs at least r).
 * subset: enumerate right subsets by increasing cardinality and return the
   first whose odd neighborhood is empty (its indicator vector is then a
-  minimum-weight codeword).
+  minimum-weight codeword). A level is scanned only if two of its
+  half-size subsets share a column XOR (``subsets.XorZeroLevels``), since
+  a zero-sum set splits into two such halves.
 * pruned: the subset search restricted to sizes at or above the certified
   expansion bound 2*(1-eps)*gamma*n, which is sound only under a verified
   expansion certificate and is therefore refused without one.
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .gf2 import Gf2Matrix, nullspace_basis, xor_columns
 from .graph import (
@@ -34,9 +35,9 @@ from .graph import (
 from .subsets import (
     DEFAULT_SUBSET_BUDGET,
     RightSubset,
+    XorZeroLevels,
     charge,
     first_hit_by_level,
-    scan_xor_zero,
 )
 
 
@@ -145,7 +146,7 @@ class PruningParams:
 
 def _search_by_size(graph, start_size, method, threshold, budget):
     n = graph.n
-    scan = partial(scan_xor_zero, graph.biadjacency().columns)
+    scan = XorZeroLevels(graph.biadjacency().columns)
     hit, examined = first_hit_by_level(scan, n, start_size, n, budget)
     return MinDistanceResult(
         distance=INFINITE if hit is None else len(hit),
@@ -166,6 +167,15 @@ def min_distance_subset(
     cardinality, and stops at the first hit; the witness is therefore the
     lexicographically smallest among all minimum-size witnesses. INFINITE
     when the biadjacency matrix has full column rank.
+
+    A level k below the distance is ruled out without a scan: it could
+    hold a witness only if two disjoint subsets of sizes floor(k/2) and
+    ceil(k/2) had equal column XOR. Conversely, while every smaller level
+    is empty, two distinct such subsets with equal XOR differ in a witness
+    of size k. So only the witness level is scanned, wherever
+    C(n, ceil(k/2)) <= C(n, k); the XORs of the half-size subsets are the
+    memory this takes, and ``examined`` still counts every subset up to
+    the witness.
     """
     return _search_by_size(graph, 1, "subset", None, budget)
 
@@ -287,6 +297,5 @@ def verify_distance_result(
         return False
     if xor_columns(matrix, witness).bits != 0:
         return False
-    scan = partial(scan_xor_zero, matrix.columns)
-    hit, _ = first_hit_by_level(scan, matrix.cols, 1, d - 1, budget)
+    hit, _ = first_hit_by_level(XorZeroLevels(matrix.columns), matrix.cols, 1, d - 1, budget)
     return hit is None

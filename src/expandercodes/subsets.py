@@ -14,6 +14,15 @@ as the number of subsets on the levels walked so far plus that one
 (``charge``), and refuses with ``CapabilityError`` only when that count
 would pass the budget. A level that is never walked is never charged.
 Every budget refusal in the package comes from ``charge``.
+
+Collision test: ``XorZeroLevels`` walks the XOR-zero levels of one search
+and runs the exact scan only on a level that could hold a zero-sum set. A
+zero-sum k-set splits into disjoint halves of sizes floor(k/2) and
+ceil(k/2) with equal XOR, so a level where no two distinct subsets of
+those sizes share an XOR is empty. The test runs after the level is
+charged, so a level it rules out is still charged in full. Its memory is
+the XORs of the half-size subsets, which it runs only where they number at
+most the level's own C(n, k).
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations, islice
 from operator import xor
 from typing import Callable, Iterable, Sequence
 
@@ -178,6 +187,66 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
                 if i < len(tails):
                     return tuple(universe[p] for p in (*prefix, j, *tails[i]))
     return None
+
+
+class XorZeroLevels:
+    """``scan_xor_zero`` over the columns ``cols`` for one walk by levels
+    (``first_hit_by_level``): called as ``scan(universe, k)`` it returns
+    what ``scan_xor_zero(cols, universe, k)`` returns, but calls it only on
+    a level that the collision test cannot rule out.
+
+    Collision test: a zero-sum k-set splits into disjoint parts of sizes
+    floor(k/2) and ceil(k/2) with equal XOR. So level 2s can hold one only
+    if two distinct s-subsets share an XOR, and level 2s + 1 only if some
+    s-subset and some (s + 1)-subset do. Where every level below k is
+    empty, as in a walk from level 1, any such pair differs in a zero-sum
+    k-set, so the test is exact. A walk that starts higher can get a
+    spurious "maybe" from a smaller zero-sum set, which costs one exact
+    scan of that level.
+
+    Memory: the XORs of the subsets of the two half sizes, kept in colex
+    order and grown one size at a time. The test runs only where
+    C(u, ceil(k/2)) <= C(u, k), so they never outnumber the subsets of the
+    level they may skip; past that, every level is scanned.
+    """
+
+    def __init__(self, cols: Sequence[int]):
+        self.cols = cols
+        self._start(())
+
+    def _start(self, universe: Sequence[int]):
+        self.universe = universe
+        self.c = [self.cols[v] for v in universe]
+        # ``top`` holds the XORs of the ``size``-subsets and ``below`` those
+        # of the (size - 1)-subsets: at size 1, the columns and the empty
+        # set's 0.
+        self.size, self.below, self.top = 1, [0], self.c
+
+    def __call__(self, universe: Sequence[int], k: int):
+        u = len(universe)
+        half = (k + 1) // 2
+        if 1 <= k <= u and math.comb(u, half) <= math.comb(u, k):
+            if universe != self.universe:
+                self._start(universe)
+            while self.size < half:
+                self._grow()
+            if k % 2 == 0:
+                maybe = len(set(self.top)) < len(self.top)
+            else:
+                maybe = not set(self.below).isdisjoint(self.top)
+            if not maybe:
+                return None
+        return scan_xor_zero(self.cols, universe, k)
+
+    def _grow(self):
+        # In colex order the s-subsets of positions below j come first, so
+        # the (s + 1)-subsets with largest position j are c[j] XOR a prefix.
+        s, top, c = self.size, self.top, self.c
+        self.below = top
+        self.top = list(chain.from_iterable(
+            map(c[j].__xor__, islice(top, math.comb(j, s))) for j in range(s, len(c))
+        ))
+        self.size = s + 1
 
 
 def _xor(c: Sequence[int], positions: Iterable[int]) -> int:

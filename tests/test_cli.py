@@ -271,6 +271,16 @@ def test_missing_file_is_exit_two(capsys):
     assert "cannot read input" in err
 
 
+def test_profile_refuses_degree_zero(tmp_path):
+    # No edges, so d = 0 and best_alpha has no ratio to take: a refusal
+    # with check_expansion's message, not a ZeroDivisionError.
+    path = tmp_path / "edgeless.edges"
+    path.write_text("0 3\n")
+    status, _, err = _run_fresh(["profile", str(path), "--gamma", "1/3"])
+    assert status == 1
+    assert err == "error: expansion checking requires a right-regular graph with d >= 1\n"
+
+
 def test_malformed_file_is_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.edges"
     path.write_text("2 2\n0 0\n0 0\n")

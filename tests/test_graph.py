@@ -25,6 +25,8 @@ from expandercodes import (
 
 G = figure1()
 HALF = Fraction(1, 2)
+# Right degree 0: no ratio to d*|S| exists.
+EDGELESS = BipartiteGraph(0, 3, ((),) * 3)
 
 
 def sub(*idx):
@@ -244,13 +246,18 @@ def test_uncertified_graph_can_violate_bounds():
         (lambda: find_bounds_violation(G, -1, Fraction(1, 4)), "gamma must be > 0"),
         (lambda: find_bounds_violation(G, HALF, HALF), "0 < epsilon < 1/2"),
         (lambda: expansion_profile(G, 2).best_alpha(0), "gamma must be > 0"),
+        (lambda: expansion_profile(EDGELESS, 1).best_alpha(Fraction(1, 3)),
+         "right-regular graph with d >= 1"),
+        (lambda: check_expansion(EDGELESS, Fraction(1, 3), HALF),
+         "right-regular graph with d >= 1"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
-         "best_alpha-gamma-zero"],
+         "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero"],
 )
 def test_parameter_rules_refuse(call, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be
-    # checked and a sweep would pass vacuously.
+    # checked and a sweep would pass vacuously; with d = 0 every ratio
+    # d*alpha*|S| is 0.
     with pytest.raises(ValueError, match=message):
         call()
 

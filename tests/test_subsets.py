@@ -3,14 +3,23 @@ prefix-cut union walk against brute-force references, and the scan
 signatures the benchmark binds."""
 
 import inspect
+import math
+from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expandercodes import subsets
-from expandercodes.subsets import level_min_union, scan_union_below, scan_xor_zero
+from expandercodes import CapabilityError, Gf2Matrix, subsets
+from expandercodes.subsets import (
+    XorZeroLevels,
+    count_sizes,
+    first_hit_by_level,
+    level_min_union,
+    scan_union_below,
+    scan_xor_zero,
+)
 
 
 def brute_force_scan(cols, universe, k):
@@ -47,6 +56,76 @@ def test_scan_xor_zero_matches_brute_force(case):
     # so the split falls to t = 0 there; k = u + 1 has no combination.
     for k in range(len(universe) + 2):
         assert scan_xor_zero(cols, universe, k) == brute_force_scan(cols, universe, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns_and_universe())
+# Index 0 is a zero column, and no larger set sums to zero, so a walk from
+# lo >= 2 meets collisions on the odd levels that the exact scan rejects.
+@example(([0, 1, 2, 4, 8, 16], range(6)))
+@example(([0b011, 0b101, 0b000, 0b110, 0b011, 0b101], range(6)))
+@example(([0b1] * 12, range(12)))
+def test_xor_zero_levels_match_scan(case):
+    # Every range of levels: the collision test may only skip scans, never
+    # change a hit or its position.
+    cols, _ = case
+    n = len(cols)
+    for lo in range(1, n + 1):
+        for hi in range(lo, n + 1):
+            expected = first_hit_by_level(partial(scan_xor_zero, cols), n, lo, hi, 1 << 20)
+            assert first_hit_by_level(XorZeroLevels(cols), n, lo, hi, 1 << 20) == expected
+
+
+def scanned_levels(monkeypatch):
+    levels = []
+
+    def spy(cols, universe, k):
+        levels.append(k)
+        return scan_xor_zero(cols, universe, k)
+
+    monkeypatch.setattr(subsets, "scan_xor_zero", spy)
+    return levels
+
+
+def test_xor_zero_levels_scan_only_maybe_levels(monkeypatch):
+    levels = scanned_levels(monkeypatch)
+    # From level 1 the test is exact: only the witness level is scanned.
+    cols = [1, 2, 4, 8, 3]  # columns 0, 1, 4 sum to zero
+    assert first_hit_by_level(XorZeroLevels(cols), 5, 1, 5, 100) == ((0, 1, 4), 5 + 10 + 3)
+    assert levels == [3]
+    # Column 0 is zero and no larger set sums to zero. Walking levels 2..6,
+    # a set with column 0 and one without it share an XOR on the odd levels
+    # 3 and 5, so both are scanned and found empty; the even levels have no
+    # two equal half-size XORs and are skipped. (Level 7 would be scanned
+    # anyway: C(10, 4) > C(10, 7).)
+    levels.clear()
+    cols = [0] + [1 << i for i in range(9)]
+    assert first_hit_by_level(XorZeroLevels(cols), 10, 2, 6, 1000) == (
+        None, count_sizes(10, 2, 6))
+    assert levels == [3, 5]
+
+
+def test_xor_zero_levels_guard(monkeypatch):
+    # Levels 38..40 of 40: the half-size sums would number C(40, 20), far
+    # more than the levels' 821 subsets, so no sums are built and each
+    # level is scanned exactly.
+    def grow(self):
+        raise AssertionError("half-size sums built past the guard")
+
+    monkeypatch.setattr(XorZeroLevels, "_grow", grow)
+    cols = Gf2Matrix.identity(40).columns
+    assert first_hit_by_level(XorZeroLevels(cols), 40, 38, 40, 1 << 20) == (None, 821)
+
+
+def test_xor_zero_levels_charge_first():
+    # Level 5 is charged before its test: the refusal is charge's, and the
+    # sums stop at size 2, the half size of level 4.
+    cols = Gf2Matrix.identity(12).columns
+    scan = XorZeroLevels(cols)
+    budget = count_sizes(12, 1, 4)
+    with pytest.raises(CapabilityError, match=f"sizes 1..5 of 12 .* over the budget of {budget}"):
+        first_hit_by_level(scan, 12, 1, 12, budget)
+    assert scan.size == 2 and len(scan.top) == math.comb(12, 2)
 
 
 def union_size(masks, combo):
