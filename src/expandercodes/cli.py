@@ -40,13 +40,13 @@ from .mindist import (
     min_distance_subset,
 )
 
-_RATIONAL_RE = re.compile(r"^\+?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"\+?[0-9]+(/[0-9]+)?")
 
 
 def rational(text: str) -> Fraction:
     """Parse an unsigned "p/q" or integer string; anything else (floats and
     negative values included) is a usage error."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"expected an exact rational 'p/q' or integer, got {text!r} "
             "(floats are rejected)"
@@ -173,10 +173,8 @@ def cmd_gen(args) -> int:
 def cmd_lemmas(args) -> int:
     graph = load_graph(args.graph, args.format)
     cert = PruningParams.certify(graph, args.gamma, args.epsilon).certificate
-    # Under the certificate every |S| <= gamma*n has |odd(S)| >= 2|N(S)| - d|S|
-    # >= d(1 - 2*epsilon)|S| (the unique-neighbor step of Sipser-Spielman),
-    # so the sweep finds no violation; it still reports what it checked.
-    bounds = find_bounds_violation(graph, args.gamma, args.epsilon)
+    # The verified certificate settles the bounds with no sweep.
+    bounds = find_bounds_violation(graph, args.gamma, args.epsilon, certificate=cert)
     partition = find_partition_violation(graph)
     if args.json:
         _print_record(
@@ -258,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lemmas",
-        help="exhaustively check the odd-neighborhood bounds and the partition property",
+        help="certify expansion, which settles the odd-neighborhood bounds, and count "
+        "the partition property's codewords and bipartitions",
     )
     add_graph_args(p)
     p.add_argument("--gamma", type=_rational_arg, required=True)

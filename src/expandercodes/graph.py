@@ -231,6 +231,23 @@ class ExpanderCertificate:
             "violation": None if self.violation is None else self.violation.to_record(g.m),
         }
 
+    def require(
+        self, gamma: Fraction, epsilon: Fraction, graph: BipartiteGraph | None = None
+    ) -> None:
+        """Refuse with ValueError unless this certificate is verified for
+        gamma and alpha = 1 - epsilon and, when ``graph`` is given, was
+        issued for that graph."""
+        if not self.verified:
+            raise ValueError("expected a verified expansion certificate")
+        if graph is not None and self.graph != graph:
+            raise ValueError("the certificate was issued for a different graph")
+        if self.gamma != gamma:
+            raise ValueError(f"certificate gamma {self.gamma} does not match {gamma}")
+        if self.alpha != 1 - epsilon:
+            raise ValueError(
+                f"certificate alpha {self.alpha} does not match 1 - epsilon = {1 - epsilon}"
+            )
+
 
 @dataclass(frozen=True)
 class ExpansionProfile:
@@ -337,8 +354,11 @@ def odd_neighborhood_bounds(graph: BipartiteGraph, subset: RightSubset, epsilon)
 
 @dataclass(frozen=True)
 class BoundsSweep:
-    """Exhaustive run of the sandwich inequality over all nonempty subsets
-    up to size_cap(gamma, n); ``violation`` holds the first failure if any."""
+    """The sandwich inequality over all nonempty subsets up to
+    size_cap(gamma, n). ``subsets_checked`` counts the subsets it was
+    established for: all of them when it holds, whether an expansion
+    certificate settled it or the sweep walked them; otherwise up to and
+    including ``violation``, the first failure."""
 
     gamma: Fraction
     epsilon: Fraction
@@ -370,13 +390,24 @@ def find_bounds_violation(
     gamma,
     epsilon,
     budget: int = DEFAULT_SUBSET_BUDGET,
+    *,
+    certificate: ExpanderCertificate | None = None,
 ) -> BoundsSweep:
-    """Scan all nonempty S with |S| <= size_cap(gamma, n) for a failure of
-    d*(1-2*eps)*|S| <= |odd(S)| <= |N(S)|, in (cardinality, lex) order.
+    """Find the first nonempty S with |S| <= size_cap(gamma, n), in
+    (cardinality, lex) order, that fails d*(1-2*eps)*|S| <= |odd(S)| <= |N(S)|.
 
     odd(S) is a subset of N(S), so the right-hand inequality always holds
     and only the lower bound is tested; |N(S)| is computed for the record
     of a violation.
+
+    ``certificate``, when given, must be verified for this graph, gamma and
+    alpha = 1 - epsilon (ValueError otherwise), and settles the bound with
+    no sweep: each left vertex of N(S) that is not a unique neighbor takes
+    at least two of the d|S| edges, so |odd(S)| >= 2|N(S)| - d|S| >=
+    d(1-2*eps)|S| (the unique-neighbor step of Sipser-Spielman, "Expander
+    codes", 1996). The result is the sweep's own: no violation, and every
+    subset up to the cap counted. Without one, the subsets are walked up
+    to the first failure.
     """
     gamma = exact_rational(gamma, "gamma")
     epsilon = exact_epsilon(epsilon)
@@ -384,10 +415,14 @@ def find_bounds_violation(
         raise ValueError("the bounds sweep requires a right-regular graph")
     n, d = graph.n, graph.d
     cap = size_cap(gamma, n)
+    if certificate is not None:
+        certificate.require(gamma, epsilon, graph)
+        return BoundsSweep(gamma, epsilon, cap, count_sizes(n, 1, cap), None)
     masks = graph._masks
 
     def scan(universe, k):
-        lower = d * (1 - 2 * epsilon) * k
+        # For an integer count c, c < x exactly when c < ceil(x).
+        lower = math.ceil(d * (1 - 2 * epsilon) * k)
         for combo in combinations(universe, k):
             odd = 0
             for j in combo:

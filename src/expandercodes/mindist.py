@@ -111,17 +111,7 @@ class PruningParams:
         epsilon = exact_epsilon(self.epsilon)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "epsilon", epsilon)
-        if not self.certificate.verified:
-            raise ValueError("pruning requires a verified expansion certificate")
-        if self.certificate.gamma != gamma:
-            raise ValueError(
-                f"certificate gamma {self.certificate.gamma} does not match {gamma}"
-            )
-        if self.certificate.alpha != 1 - epsilon:
-            raise ValueError(
-                f"certificate alpha {self.certificate.alpha} does not match "
-                f"1 - epsilon = {1 - epsilon}"
-            )
+        self.certificate.require(gamma, epsilon)
 
     @classmethod
     def certify(
@@ -257,8 +247,7 @@ def min_distance_pruned(
     is attainable (the bundled 5x4 demo graph attains it at its tight
     alpha), so a strictly-greater cut would miss such witnesses.
     """
-    if params.certificate.graph != graph:
-        raise ValueError("the certificate was issued for a different graph")
+    params.certificate.require(params.gamma, params.epsilon, graph)
     gamma_n = params.gamma * graph.n
     if gamma_n.denominator != 1 or gamma_n < 1:
         raise ValueError(

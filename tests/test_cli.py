@@ -58,13 +58,21 @@ def test_float_option_is_usage_error():
         (["profile", "figure1", "--gamma", "0"], 1, "gamma must be > 0"),
         (["lemmas", "figure1", "--gamma", "1/2", "--epsilon", "1/2"], 1, "0 < epsilon < 1/2"),
         (["lemmas", "figure1", "--gamma", "1/2", "--epsilon", "1"], 1, "0 < epsilon < 1/2"),
+        (["bound", "--gamma", "1/2\n", "--epsilon", "1/4", "--n", "8"], 2,
+         "expected an exact rational"),
+        (["bound", "--gamma", "3\n", "--epsilon", "1/4", "--n", "8"], 2,
+         "expected an exact rational"),
+        (["bound", "--gamma", "\u0661/\u0662", "--epsilon", "1/4", "--n", "8"], 2,
+         "expected an exact rational"),
     ],
     ids=["minus-separate", "minus-joined", "minus-integer", "plus", "profile-gamma-zero",
-         "lemmas-epsilon-half", "lemmas-epsilon-one"],
+         "lemmas-epsilon-half", "lemmas-epsilon-one", "trailing-newline",
+         "integer-trailing-newline", "arabic-indic-digits"],
 )
 def test_rational_option_rules(argv, status, message, capsys):
     # Rational options are unsigned, so every negative spelling is a usage
-    # error; zero and out-of-range epsilons are domain errors.
+    # error; zero and out-of-range epsilons are domain errors. The whole
+    # string must be ASCII digits: no trailing newline, no other scripts.
     result, _, err = _run_in_process(capsys, argv)
     assert result == status
     assert message in err
@@ -218,6 +226,28 @@ def test_lemmas_json(tmp_path, capsys):
         '"partition": {"empty_odd_found": 15, "partitions_checked": 945, '
         '"subsets_checked": 4095, "violation": null}}\n'
     )
+
+
+def test_lemmas_settles_bounds_without_sweep(monkeypatch, tmp_path, capsys):
+    # The verified certificate settles the sandwich bound: the bounds
+    # sweep's subset walk, the only user of combinations in graph.py, never
+    # runs, and the record still counts every subset up to the size cap.
+    def no_walk(*args):
+        raise AssertionError("the bounds sweep walked subsets")
+
+    monkeypatch.setattr("expandercodes.graph.combinations", no_walk)
+    path = tmp_path / "seeded.edges"
+    path.write_text(serialize_graph(random_right_regular(GenSpec(8, 12, 3, seed=8))))
+    for graph, gamma, size_cap, checked in (("figure1", "1/2", 2, 10),
+                                            (str(path), "1/6", 2, 78)):
+        status, out, _ = run(
+            capsys, "lemmas", graph, "--gamma", gamma, "--epsilon", "1/3", "--json"
+        )
+        assert status == 0
+        assert json.loads(out)["bounds"] == {
+            "epsilon": "1/3", "gamma": gamma, "size_cap": size_cap,
+            "subsets_checked": checked, "violation": None,
+        }
 
 
 def test_gen_round_trips_and_is_deterministic(capsys):

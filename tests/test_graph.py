@@ -27,6 +27,11 @@ G = figure1()
 HALF = Fraction(1, 2)
 # Right degree 0: no ratio to d*|S| exists.
 EDGELESS = BipartiteGraph(0, 3, ((),) * 3)
+# figure 1 expands at gamma 1/2 with alpha 2/3 (epsilon 1/3), and not with 101/100.
+CERT = check_expansion(G, HALF, Fraction(2, 3))
+UNVERIFIED = check_expansion(G, HALF, Fraction(101, 100))
+# Right-regular like figure 1, with the same shape and different edges.
+OTHER = BipartiteGraph(5, 4, ((0, 1), (3, 4), (1, 2), (0, 1)))
 
 
 def sub(*idx):
@@ -195,6 +200,16 @@ def test_find_bounds_violation_reports_first():
     assert mid == 0 and upper == 2 and lower == 3
 
 
+def test_find_bounds_violation_fractional_lower():
+    # two right vertices of degree 3 sharing one neighbor: |odd| = 4 lies
+    # between floor and ceil of the lower bound 3*(1-2/8)*2 = 9/2, so the
+    # pair fails; singletons have |odd| = 3 >= 9/4 and pass
+    pair = BipartiteGraph(5, 2, ((0, 1, 2), (2, 3, 4)))
+    sweep = find_bounds_violation(pair, 1, Fraction(1, 8))
+    assert sweep.violation == (RightSubset.of(2, (0, 1)), Fraction(9, 2), 4, 5)
+    assert sweep.subsets_checked == 3
+
+
 SLACKS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(3, 8))
 
 
@@ -222,6 +237,8 @@ def test_certified_graph_has_no_bounds_violation(seed, d, extra, n, size_cap, ep
     cert, sweep = bounds_case(seed, d, extra, n, size_cap, epsilon)
     if cert.verified:
         assert sweep.violation is None
+        # the certificate settles the bound with the sweep's own record
+        assert find_bounds_violation(cert.graph, cert.gamma, epsilon, certificate=cert) == sweep
 
 
 def test_uncertified_graph_can_violate_bounds():
@@ -250,14 +267,25 @@ def test_uncertified_graph_can_violate_bounds():
          "right-regular graph with d >= 1"),
         (lambda: check_expansion(EDGELESS, Fraction(1, 3), HALF),
          "right-regular graph with d >= 1"),
+        (lambda: find_bounds_violation(G, HALF, Fraction(1, 3), certificate=UNVERIFIED),
+         "verified expansion certificate"),
+        (lambda: find_bounds_violation(OTHER, HALF, Fraction(1, 3), certificate=CERT),
+         "different graph"),
+        (lambda: find_bounds_violation(G, Fraction(1, 4), Fraction(1, 3), certificate=CERT),
+         "certificate gamma 1/2 does not match 1/4"),
+        (lambda: find_bounds_violation(G, HALF, Fraction(1, 4), certificate=CERT),
+         "certificate alpha 2/3 does not match 1 - epsilon = 3/4"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
-         "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero"],
+         "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
+         "bounds-certificate-unverified", "bounds-certificate-other-graph",
+         "bounds-certificate-other-gamma", "bounds-certificate-other-alpha"],
 )
 def test_parameter_rules_refuse(call, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be
     # checked and a sweep would pass vacuously; with d = 0 every ratio
-    # d*alpha*|S| is 0.
+    # d*alpha*|S| is 0. A certificate settles the bounds only for the
+    # graph, gamma and alpha = 1 - epsilon it was verified for.
     with pytest.raises(ValueError, match=message):
         call()
 
