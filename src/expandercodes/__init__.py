@@ -3,7 +3,6 @@ certificates, and exhaustive structural checks."""
 
 from .errors import CapabilityError, ParseError
 from .gf2 import (
-    BitVector,
     Gf2Matrix,
     is_minimal_dependent,
     nullspace_basis,
@@ -45,7 +44,6 @@ from .subsets import RightSubset
 
 __all__ = [
     "BipartiteGraph",
-    "BitVector",
     "BoundsSweep",
     "CapabilityError",
     "ExpanderCertificate",

@@ -1,65 +1,20 @@
 """Bit-packed linear algebra over GF(2).
 
 A column is a Python int used as a bitset (bit i <-> row i), so adding two
-columns mod 2 is one arbitrary-precision XOR. That single operation is the
-kernel everything else here is built on: rank, null space, and dependence
-checks all reduce to XOR-ing selected columns.
+columns mod 2 is one arbitrary-precision XOR. A vector indexed by the
+columns, such as a codeword, is a ``RightSubset``: the set of columns it
+selects. Rank, null space and dependence checks all reduce to XOR-ing
+selected columns, and ``xor_columns`` sums them with ``subsets._xor``,
+the helper the XOR-zero scan and the odd neighborhood use too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ParseError
-from .subsets import RightSubset, bit_indices
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """Fixed-length vector over GF(2) packed into one int (bit i <-> entry i)."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits set beyond the stated length")
-
-    @classmethod
-    def zeros(cls, length: int) -> "BitVector":
-        return cls(length, 0)
-
-    @classmethod
-    def from_indices(cls, length: int, indices: Iterable[int]) -> "BitVector":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < length:
-                raise IndexError(f"index {i} out of range [0, {length})")
-            bits |= 1 << i
-        return cls(length, bits)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"index {i} out of range [0, {self.length})")
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("XOR needs vectors of equal length")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return bit_indices(self.bits)
+from .subsets import RightSubset, _xor
 
 
 @dataclass(frozen=True)
@@ -151,15 +106,12 @@ class Gf2Matrix:
             lines.append(" ".join(str((self.columns[j] >> i) & 1) for j in range(self.cols)))
         return "\n".join(lines) + "\n"
 
-    def column(self, j: int) -> BitVector:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column index {j} out of range [0, {self.cols})")
-        return BitVector(self.rows, self.columns[j])
-
     def entry(self, i: int, j: int) -> int:
         if not 0 <= i < self.rows:
             raise IndexError(f"row index {i} out of range [0, {self.rows})")
-        return self.column(j)[i]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column index {j} out of range [0, {self.cols})")
+        return (self.columns[j] >> i) & 1
 
     def to_rows(self) -> list[list[int]]:
         return [
@@ -168,16 +120,15 @@ class Gf2Matrix:
         ]
 
 
-def xor_columns(matrix: Gf2Matrix, subset: RightSubset) -> BitVector:
-    """Mod-2 sum of the columns selected by ``subset``; zero for the empty set."""
+def xor_columns(matrix: Gf2Matrix, subset: RightSubset) -> int:
+    """Mod-2 sum of the columns selected by ``subset``, packed like a
+    column (bit i <-> row i); 0 for the empty set, and 0 exactly when
+    ``subset`` is a codeword."""
     if subset.n != matrix.cols:
         raise IndexError(
             f"subset universe size {subset.n} does not match column count {matrix.cols}"
         )
-    acc = 0
-    for j in subset.indices:
-        acc ^= matrix.columns[j]
-    return BitVector(matrix.rows, acc)
+    return _xor(matrix.columns, subset.indices)
 
 
 def _column_eliminate(columns: Sequence[int]):
@@ -214,15 +165,17 @@ def rank(matrix: Gf2Matrix) -> int:
     return count
 
 
-def nullspace_basis(matrix: Gf2Matrix) -> list[BitVector]:
-    """Basis of {v : M v = 0 over GF(2)} as length-``cols`` vectors.
+def nullspace_basis(matrix: Gf2Matrix) -> list[RightSubset]:
+    """Basis of {v : M v = 0 over GF(2)}, each vector a ``RightSubset``
+    over the matrix's ``cols`` columns: the set of code bits of one
+    codeword.
 
     Deterministic for a given matrix: the elimination pivots on the lowest
     available row index and emits one basis vector per free column, in
     ascending column order.
     """
     _, kernel = _column_eliminate(matrix.columns)
-    return [BitVector(matrix.cols, bits) for bits in kernel]
+    return [RightSubset(matrix.cols, bits) for bits in kernel]
 
 
 def is_minimal_dependent(matrix: Gf2Matrix, subset: RightSubset) -> bool:
@@ -237,7 +190,7 @@ def is_minimal_dependent(matrix: Gf2Matrix, subset: RightSubset) -> bool:
     t = len(subset)
     if t == 0:
         raise ValueError("minimal-dependence check requires a nonempty subset")
-    if xor_columns(matrix, subset).bits != 0:
+    if xor_columns(matrix, subset) != 0:
         return False
     count, _ = _column_eliminate([matrix.columns[j] for j in subset.indices])
     return count == t - 1

@@ -29,6 +29,7 @@ from .subsets import (
     first_hit_by_level,
     level_min_union,
     scan_union_below,
+    _xor,
 )
 
 
@@ -122,24 +123,11 @@ class BipartiteGraph:
             tuple(bit_indices(col) for col in matrix.columns),
         )
 
-    @property
-    def is_right_regular(self) -> bool:
-        return self.d is not None
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(a) for a in self.right_adj)
-
     def neighbors(self, v: int) -> frozenset[int]:
         """N(v) for a right vertex v."""
         if not 0 <= v < self.n:
             raise IndexError(f"right-vertex index {v} out of range [0, {self.n})")
         return frozenset(self.right_adj[v])
-
-    def neighbor_mask(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"right-vertex index {v} out of range [0, {self.n})")
-        return self._masks[v]
 
     def neighbor_set(self, subset: RightSubset) -> frozenset[int]:
         """N(S): union of the neighborhoods of the vertices in S."""
@@ -157,15 +145,7 @@ class BipartiteGraph:
         S is a codeword.
         """
         self._check_subset(subset)
-        return frozenset(bit_indices(self._odd_mask(subset.bits)))
-
-    def _odd_mask(self, bits: int) -> int:
-        acc = 0
-        while bits:
-            low = bits & -bits
-            acc ^= self._masks[low.bit_length() - 1]
-            bits ^= low
-        return acc
+        return frozenset(bit_indices(_xor(self._masks, subset.indices)))
 
     def biadjacency(self) -> Gf2Matrix:
         """m x n matrix with entry (i, j) = 1 iff left i is adjacent to right j."""
@@ -347,7 +327,7 @@ def odd_neighborhood_bounds(graph: BipartiteGraph, subset: RightSubset, epsilon)
         raise ValueError("bounds require a nonempty subset")
     graph._check_subset(subset)
     lower = graph.d * (1 - 2 * epsilon) * len(subset)
-    odd = graph._odd_mask(subset.bits).bit_count()
+    odd = _xor(graph._masks, subset.indices).bit_count()
     nbhd = len(graph.neighbor_set(subset))
     return lower, odd, nbhd
 

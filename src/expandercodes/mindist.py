@@ -253,7 +253,7 @@ def min_distance_pruned(
         raise ValueError(
             f"gamma*n must be a positive integer for pruning, got {gamma_n}"
         )
-    threshold = 2 * (1 - params.epsilon) * gamma_n
+    threshold = distance_lower_bound(params.gamma, params.epsilon, graph.n)
     start = max(1, math.ceil(threshold))
     return _search_by_size(graph, start, "pruned", threshold, budget)
 
@@ -284,7 +284,7 @@ def verify_distance_result(
     witness = result.witness
     if witness is None or witness.n != matrix.cols or len(witness) != d:
         return False
-    if xor_columns(matrix, witness).bits != 0:
+    if xor_columns(matrix, witness) != 0:
         return False
     hit, _ = first_hit_by_level(XorZeroLevels(matrix.columns), matrix.cols, 1, d - 1, budget)
     return hit is None

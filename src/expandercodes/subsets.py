@@ -2,6 +2,14 @@
 enumeration and the budget rule shared by every exhaustive search in the
 package.
 
+``RightSubset`` is the package's one GF(2) vector type. A set S of right
+vertices, the indicator vector of a candidate codeword and the mod-2 sum
+of S's biadjacency columns are one object: S is a codeword exactly when
+that sum is zero. ``nullspace_basis`` returns its basis as RightSubsets,
+and the witness of a distance result is one. ``_xor`` sums selected
+columns, for the XOR-zero scan, ``gf2.xor_columns`` and the odd
+neighborhood alike.
+
 Order contract: subsets are visited by increasing cardinality and, within
 one cardinality, lexicographically on the sorted index tuple (the order
 ``itertools.combinations`` produces). ``combination_rank`` converts a
@@ -54,7 +62,8 @@ def bit_indices(bits: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RightSubset:
-    """A subset of the right vertices [0, n) packed into one int.
+    """A subset of the right vertices [0, n) packed into one int, which is
+    also a length-n vector over GF(2) (bit i <-> entry i).
 
     Immutable; set bits may only appear at positions below ``n``.
     """
@@ -250,6 +259,7 @@ class XorZeroLevels:
 
 
 def _xor(c: Sequence[int], positions: Iterable[int]) -> int:
+    """Mod-2 sum of the columns ``c[p]`` for p in ``positions``; 0 for none."""
     return reduce(xor, map(c.__getitem__, positions), 0)
 
 

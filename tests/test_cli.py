@@ -1,4 +1,5 @@
-"""CLI surface: subcommands, exit statuses, exact rational I/O, JSON."""
+"""CLI surface: subcommands, exit statuses, exact rational I/O, JSON; and
+the package's star-import exports."""
 
 import json
 import os
@@ -22,6 +23,13 @@ from expandercodes import (
     serialize_graph,
 )
 from expandercodes.cli import main
+
+
+def test_star_import_and_exports():
+    namespace = {}
+    exec("from expandercodes import *", namespace)
+    for name in expandercodes.__all__:
+        assert namespace[name] is getattr(expandercodes, name)
 
 
 def run(capsys, *argv):

@@ -22,6 +22,7 @@ from expandercodes import (
     random_right_regular,
     xor_columns,
 )
+from expandercodes.subsets import bit_indices
 
 G = figure1()
 HALF = Fraction(1, 2)
@@ -176,7 +177,7 @@ def test_bridge_toggle_parity_exhaustive_demo():
     for bits in range(1 << G.n):
         s = RightSubset(G.n, bits)
         odd = G.odd_neighborhood(s)
-        assert odd == set(xor_columns(B, s).support())
+        assert odd == set(bit_indices(xor_columns(B, s)))
         assert odd <= G.neighbor_set(s)
         assert len(odd) % 2 == (G.d * len(s)) % 2
         for v in range(G.n):

@@ -1,6 +1,6 @@
-"""Subset enumeration: the meet-in-the-middle XOR-zero scan and the
-prefix-cut union walk against brute-force references, and the scan
-signatures the benchmark binds."""
+"""Subset enumeration: the range checks of ``RightSubset``, the
+meet-in-the-middle XOR-zero scan and the prefix-cut union walk against
+brute-force references, and the scan signatures the benchmark binds."""
 
 import inspect
 import math
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expandercodes import CapabilityError, Gf2Matrix, subsets
+from expandercodes import CapabilityError, Gf2Matrix, RightSubset, subsets
 from expandercodes.subsets import (
     XorZeroLevels,
     count_sizes,
@@ -20,6 +20,29 @@ from expandercodes.subsets import (
     scan_union_below,
     scan_xor_zero,
 )
+
+
+def test_right_subset_range_checks():
+    with pytest.raises(ValueError):
+        RightSubset(3, 0b1000)
+    with pytest.raises(ValueError):
+        RightSubset(3, -1)
+    with pytest.raises(IndexError):
+        RightSubset.of(3, (3,))
+    with pytest.raises(IndexError):
+        RightSubset.of(3, (-1,))
+    v = RightSubset(3, 0b101)
+    with pytest.raises(IndexError):
+        v.toggled(3)
+    with pytest.raises(ValueError):
+        v ^ RightSubset(4, 0b101)
+    assert v == RightSubset.of(3, (2, 0))
+    assert v.indices == (0, 2) and list(v) == [0, 2]
+    assert len(v) == 2
+    assert 0 in v and 1 not in v and 2 in v
+    assert 3 not in v and -1 not in v
+    assert v.toggled(1) == RightSubset.full(3)
+    assert v ^ RightSubset(3, 0b110) == RightSubset(3, 0b011)
 
 
 def brute_force_scan(cols, universe, k):
