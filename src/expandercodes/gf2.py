@@ -6,6 +6,9 @@ columns, such as a codeword, is a ``RightSubset``: the set of columns it
 selects. Rank, null space and dependence checks all reduce to XOR-ing
 selected columns, and ``xor_columns`` sums them with ``subsets._xor``,
 the helper the XOR-zero scan and the odd neighborhood use too.
+
+The module is algebra only: the matrix text format is read and written by
+``instances``, straight into and out of a ``BipartiteGraph``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParseError
 from .subsets import RightSubset, _xor
 
 
@@ -38,73 +40,12 @@ class Gf2Matrix:
                 raise ValueError(f"column {j} has bits outside [0, {self.rows})")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Gf2Matrix":
-        m = len(rows)
-        if cols is None:
-            if m == 0:
-                raise ValueError("cols must be given explicitly for a 0-row matrix")
-            cols = len(rows[0])
-        columns = [0] * cols
-        for i, row in enumerate(rows):
-            if len(row) != cols:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {cols}")
-            for j, e in enumerate(row):
-                if e not in (0, 1):
-                    raise ValueError(f"entry ({i}, {j}) must be 0 or 1, got {e!r}")
-                if e:
-                    columns[j] |= 1 << i
-        return cls(m, cols, tuple(columns))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
         return cls(rows, cols, (0,) * cols)
 
     @classmethod
     def identity(cls, k: int) -> "Gf2Matrix":
         return cls(k, k, tuple(1 << i for i in range(k)))
-
-    @classmethod
-    def from_text(cls, text: str) -> "Gf2Matrix":
-        """Parse the matrix text format: a "rows cols" header line followed
-        by ``rows`` lines of ``cols`` space-separated 0/1 entries."""
-        header: tuple[int, int] | None = None
-        rows: list[list[int]] = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if header is None:
-                if len(parts) != 2:
-                    raise ParseError(f"line {lineno}: expected header 'rows cols'")
-                try:
-                    m, n = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: expected header 'rows cols'") from None
-                if m < 0 or n < 0:
-                    raise ParseError(f"line {lineno}: dimensions must be >= 0")
-                header = (m, n)
-                continue
-            m, n = header
-            if len(rows) == m:
-                raise ParseError(f"line {lineno}: unexpected extra row (expected {m})")
-            if len(parts) != n:
-                raise ParseError(f"line {lineno}: expected {n} entries, got {len(parts)}")
-            for t in parts:
-                if t not in ("0", "1"):
-                    raise ParseError(f"line {lineno}: matrix entries must be 0 or 1, got {t!r}")
-            rows.append([int(t) for t in parts])
-        if header is None:
-            raise ParseError("empty input: missing 'rows cols' header")
-        if len(rows) != header[0]:
-            raise ParseError(f"expected {header[0]} matrix rows, got {len(rows)}")
-        return cls.from_rows(rows, cols=header[1])
-
-    def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        for i in range(self.rows):
-            lines.append(" ".join(str((self.columns[j] >> i) & 1) for j in range(self.cols)))
-        return "\n".join(lines) + "\n"
 
     def entry(self, i: int, j: int) -> int:
         if not 0 <= i < self.rows:

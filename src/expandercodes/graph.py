@@ -391,9 +391,7 @@ def find_bounds_violation(
     """
     gamma = exact_rational(gamma, "gamma")
     epsilon = exact_epsilon(epsilon)
-    if graph.d is None:
-        raise ValueError("the bounds sweep requires a right-regular graph")
-    n, d = graph.n, graph.d
+    n, d = graph.n, _expansion_degree(graph.d)
     cap = size_cap(gamma, n)
     if certificate is not None:
         certificate.require(gamma, epsilon, graph)

@@ -1,6 +1,10 @@
 """Instance ingestion, serialization, the built-in demo graph, and seeded
 random right-regular generation.
 
+Both text formats live here, an edge list and a 0/1 biadjacency matrix, as
+two ways to write down one graph. Each starts with an "a b" header read by
+``_header``, and each parses straight into a ``BipartiteGraph``.
+
 Generation uses splitmix64, fully specified here and in the README so that
 a corpus can be regenerated bit-for-bit on any platform or language; it
 does not depend on the interpreter's own RNG.
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .gf2 import Gf2Matrix
 from .graph import BipartiteGraph
 
 EDGE_LIST = "edge-list"
@@ -28,6 +31,20 @@ def figure1() -> BipartiteGraph:
     return BipartiteGraph(5, 4, _DEMO_ADJ)
 
 
+def _header(lineno: int, parts: list[str], names: str, what: str) -> tuple[int, int]:
+    """The two counts of an "a b" header line; ``names`` spells the header
+    in the error sentence ("m n" or "rows cols"), ``what`` names the counts."""
+    if len(parts) != 2:
+        raise ParseError(f"line {lineno}: expected header '{names}'")
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected header '{names}'") from None
+    if a < 0 or b < 0:
+        raise ParseError(f"line {lineno}: {what} must be >= 0")
+    return a, b
+
+
 def parse_edge_list(text: str) -> BipartiteGraph:
     """Parse the edge-list format: "m n" header, one "left right" pair per
     line, '#' starting a comment; duplicate edges are rejected."""
@@ -40,15 +57,7 @@ def parse_edge_list(text: str) -> BipartiteGraph:
             continue
         parts = line.split()
         if header is None:
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected header 'm n'")
-            try:
-                m, n = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: expected header 'm n'") from None
-            if m < 0 or n < 0:
-                raise ParseError(f"line {lineno}: vertex counts must be >= 0")
-            header = (m, n)
+            header = _header(lineno, parts, "m n", "vertex counts")
             continue
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected edge 'left right'")
@@ -71,8 +80,36 @@ def parse_edge_list(text: str) -> BipartiteGraph:
 
 
 def parse_matrix(text: str) -> BipartiteGraph:
-    """Parse the matrix format of the GF(2) core into a graph."""
-    return BipartiteGraph.from_biadjacency(Gf2Matrix.from_text(text))
+    """Parse the matrix format: "rows cols" header, then ``rows`` lines of
+    ``cols`` space-separated 0/1 entries; entry (i, j) is 1 iff left i is
+    adjacent to right j. Blank lines are skipped, so the rows of a matrix
+    with no columns, which can only be empty lines, are not counted."""
+    header: tuple[int, int] | None = None
+    adj: list[list[int]] = []
+    row = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if header is None:
+            m, n = header = _header(lineno, parts, "rows cols", "dimensions")
+            adj = [[] for _ in range(n)]
+            continue
+        if row == m:
+            raise ParseError(f"line {lineno}: unexpected extra row (expected {m})")
+        if len(parts) != n:
+            raise ParseError(f"line {lineno}: expected {n} entries, got {len(parts)}")
+        for j, t in enumerate(parts):
+            if t == "1":
+                adj[j].append(row)
+            elif t != "0":
+                raise ParseError(f"line {lineno}: matrix entries must be 0 or 1, got {t!r}")
+        row += 1
+    if header is None:
+        raise ParseError("empty input: missing 'rows cols' header")
+    if n and row != m:
+        raise ParseError(f"expected {m} matrix rows, got {row}")
+    return BipartiteGraph(m, n, tuple(map(tuple, adj)))
 
 
 def parse_graph(text: str, fmt: str = EDGE_LIST) -> BipartiteGraph:
@@ -96,7 +133,11 @@ def serialize_edge_list(graph: BipartiteGraph) -> str:
 
 
 def serialize_matrix(graph: BipartiteGraph) -> str:
-    return graph.biadjacency().to_text()
+    """Matrix form: header then one row of 0/1 entries per left vertex."""
+    columns = graph.biadjacency().columns
+    lines = [f"{graph.m} {graph.n}"]
+    lines.extend(" ".join("01"[(col >> i) & 1] for col in columns) for i in range(graph.m))
+    return "\n".join(lines) + "\n"
 
 
 def serialize_graph(graph: BipartiteGraph, fmt: str = EDGE_LIST) -> str:

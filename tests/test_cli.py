@@ -197,6 +197,21 @@ def test_profile_json(capsys):
     assert Fraction(record["best_alpha"]) == Fraction(3, 4)
 
 
+@pytest.mark.parametrize(
+    "argv, status, out, err",
+    [
+        (["--max-size", "2", "--json"], 0,
+         '{"best_alpha": null, "d": 2, "gamma": null, "min_neighbors": [2, 3], "n": 4}\n', ""),
+        (["--max-size", "1", "--gamma", "1/2"], 1,
+         "", "error: profile covers sizes up to 1, need 2 for this gamma\n"),
+        (["--max-size", "5"], 1, "", "error: s_max must be in [0, 4], got 5\n"),
+    ],
+    ids=["within-n", "below-gamma-cap", "above-n"],
+)
+def test_profile_max_size(capsys, argv, status, out, err):
+    assert run(capsys, "profile", "figure1", *argv) == (status, out, err)
+
+
 def test_bound_json_round_trips(capsys):
     status, out, _ = run(
         capsys, "bound", "--gamma", "1/2", "--epsilon", "1/3", "--n", "4", "--json"
@@ -276,6 +291,24 @@ def test_gen_matrix_format(capsys):
     assert status == 0
     assert out.splitlines()[0] == "4 3"
     assert parse_graph(out, "matrix").d == 2
+
+
+def test_mindist_reads_matrix_files(tmp_path, capsys):
+    # A matrix file and an edge-list file of one graph print the same bytes.
+    gen = ("gen", "--m", "8", "--n", "12", "--d", "3", "--seed", "8")
+    paths = {}
+    for fmt in ("edge-list", "matrix"):
+        status, out, _ = run(capsys, *gen, "--format", fmt)
+        assert status == 0
+        paths[fmt] = tmp_path / f"seeded.{fmt}"
+        paths[fmt].write_text(out)
+    for method in ([], ["--method", "kernel"]):
+        edge_route = run(capsys, "mindist", str(paths["edge-list"]), *method, "--json")
+        matrix_route = run(
+            capsys, "mindist", str(paths["matrix"]), "--format", "matrix", *method, "--json"
+        )
+        assert edge_route[0] == 0 and json.loads(edge_route[1])["distance"] != "infinite"
+        assert matrix_route == edge_route
 
 
 def test_gen_invalid_degree(capsys):

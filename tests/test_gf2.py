@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from expandercodes import (
     GenSpec,
     Gf2Matrix,
-    ParseError,
     RightSubset,
     figure1,
     is_minimal_dependent,
@@ -250,24 +249,6 @@ def test_zero_xor_subset_contains_minimal_subset():
                 if shrunk:
                     break
         assert is_minimal_dependent(matrix, RightSubset.of(5, current))
-
-
-def test_matrix_text_round_trip():
-    text = B_DEMO.to_text()
-    again = Gf2Matrix.from_text(text)
-    assert again == B_DEMO
-    assert again.to_text() == text
-
-
-def test_matrix_text_errors():
-    with pytest.raises(ParseError, match="header"):
-        Gf2Matrix.from_text("")
-    with pytest.raises(ParseError, match="line 2"):
-        Gf2Matrix.from_text("2 2\n1 0 1\n0 1\n")
-    with pytest.raises(ParseError, match="0 or 1"):
-        Gf2Matrix.from_text("1 2\n1 2\n")
-    with pytest.raises(ParseError, match="expected 2 matrix rows"):
-        Gf2Matrix.from_text("2 2\n1 0\n")
 
 
 def test_matrix_entry():

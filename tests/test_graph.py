@@ -268,6 +268,8 @@ def test_uncertified_graph_can_violate_bounds():
          "right-regular graph with d >= 1"),
         (lambda: check_expansion(EDGELESS, Fraction(1, 3), HALF),
          "right-regular graph with d >= 1"),
+        (lambda: find_bounds_violation(EDGELESS, Fraction(2, 3), Fraction(1, 3)),
+         "right-regular graph with d >= 1"),
         (lambda: find_bounds_violation(G, HALF, Fraction(1, 3), certificate=UNVERIFIED),
          "verified expansion certificate"),
         (lambda: find_bounds_violation(OTHER, HALF, Fraction(1, 3), certificate=CERT),
@@ -279,13 +281,15 @@ def test_uncertified_graph_can_violate_bounds():
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
          "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
+         "bounds-degree-zero",
          "bounds-certificate-unverified", "bounds-certificate-other-graph",
          "bounds-certificate-other-gamma", "bounds-certificate-other-alpha"],
 )
 def test_parameter_rules_refuse(call, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be
     # checked and a sweep would pass vacuously; with d = 0 every ratio
-    # d*alpha*|S| is 0. A certificate settles the bounds only for the
+    # d*alpha*|S| is 0, and so is the bounds sweep's lower end
+    # d*(1-2*eps)*|S|. A certificate settles the bounds only for the
     # graph, gamma and alpha = 1 - epsilon it was verified for.
     with pytest.raises(ValueError, match=message):
         call()

@@ -3,6 +3,7 @@
 import pytest
 
 from expandercodes import (
+    BipartiteGraph,
     GenSpec,
     ParseError,
     SplitMix64,
@@ -11,7 +12,7 @@ from expandercodes import (
     random_right_regular,
     serialize_graph,
 )
-from expandercodes.instances import parse_edge_list, parse_matrix
+from expandercodes.instances import parse_edge_list, parse_matrix, serialize_matrix
 
 DEMO_EDGE_TEXT = """\
 # demo instance
@@ -44,10 +45,37 @@ def test_parse_matrix_matches_edge_route():
     assert parse_graph(text, "matrix") == figure1()
 
 
+def test_matrix_text_round_trip():
+    text = serialize_matrix(figure1())
+    assert text == "5 4\n1 0 0 1\n1 0 1 0\n0 0 1 1\n0 1 0 0\n0 1 0 0\n"
+    again = parse_matrix(text)
+    assert again == figure1()
+    assert again.biadjacency() == figure1().biadjacency()
+    assert serialize_matrix(again) == text
+
+
+def test_matrix_text_errors():
+    with pytest.raises(ParseError, match="header"):
+        parse_matrix("")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_matrix("2 2\n1 0 1\n0 1\n")
+    with pytest.raises(ParseError, match="0 or 1"):
+        parse_matrix("1 2\n1 2\n")
+    with pytest.raises(ParseError, match="expected 2 matrix rows"):
+        parse_matrix("2 2\n1 0\n")
+
+
 def test_round_trip_both_formats():
-    g = random_right_regular(GenSpec(7, 6, 3, seed=77))
-    for fmt in ("edge-list", "matrix"):
-        assert parse_graph(serialize_graph(g, fmt), fmt) == g
+    graphs = [
+        random_right_regular(GenSpec(7, 6, 3, seed=77)),
+        # no edges; the rows of the 3 x 0 matrix are three empty lines
+        BipartiteGraph(3, 0, ()),
+        BipartiteGraph(0, 3, ((),) * 3),
+        BipartiteGraph(0, 0, ()),
+    ]
+    for g in graphs:
+        for fmt in ("edge-list", "matrix"):
+            assert parse_graph(serialize_graph(g, fmt), fmt) == g
 
 
 def test_serialize_edge_list_canonical():
