@@ -52,12 +52,9 @@ def rational(text: str) -> Fraction:
             "(floats are rejected)"
         )
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            if int(den) == 0:
-                raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     except ValueError as exc:  # int() refuses strings past the interpreter's digit limit
         raise argparse.ArgumentTypeError(f"too many digits for an exact rational: {exc}") from None
 
@@ -241,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, help="largest subset size to profile")
     p.add_argument("--gamma", type=_rational_arg, help="also report the best alpha at gamma")
 
-    p = sub.add_parser("bound", help="certified distance lower bound 2(1-eps)*gamma*n")
+    p = sub.add_parser(
+        "bound", help="certified distance lower bound 2(1-eps)*min(n, floor(gamma*n))"
+    )
     p.add_argument("--gamma", type=_rational_arg, required=True)
     p.add_argument("--epsilon", type=_rational_arg, required=True)
     p.add_argument("--n", type=int, required=True)

@@ -287,8 +287,8 @@ def check_expansion(
     d, n = _expansion_degree(graph.d), graph.n
     cap = size_cap(gamma, n)
 
-    def scan(universe, k):
-        return scan_union_below(graph._masks, universe, k, math.ceil(d * alpha * k))
+    def scan(k):
+        return scan_union_below(graph._masks, range(n), k, math.ceil(d * alpha * k))
 
     hit, _ = first_hit_by_level(scan, n, 1, cap, budget)
     if hit is None:
@@ -398,10 +398,10 @@ def find_bounds_violation(
         return BoundsSweep(gamma, epsilon, cap, count_sizes(n, 1, cap), None)
     masks = graph._masks
 
-    def scan(universe, k):
+    def scan(k):
         # For an integer count c, c < x exactly when c < ceil(x).
         lower = math.ceil(d * (1 - 2 * epsilon) * k)
-        for combo in combinations(universe, k):
+        for combo in combinations(range(n), k):
             odd = 0
             for j in combo:
                 odd ^= masks[j]
@@ -461,10 +461,8 @@ def find_partition_violation(
     codewords = (1 << k) - 1
     partitions = 0
     acc = 0
-    prev_gray = 0
     for i in range(1, codewords + 1):
-        gray = i ^ (i >> 1)
-        acc ^= basis[(gray ^ prev_gray).bit_length() - 1]
-        prev_gray = gray
+        # Gray codes i - 1 and i differ in the lowest set bit of i.
+        acc ^= basis[(i & -i).bit_length() - 1]
         partitions += (1 << (acc.bit_count() - 1)) - 1
     return PartitionSweep(count_sizes(graph.n, 1, graph.n), codewords, partitions)

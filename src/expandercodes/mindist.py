@@ -10,8 +10,8 @@ graph's biadjacency matrix, by three mutually validating methods.
   half-size subsets share a column XOR (``subsets.XorZeroLevels``), since
   a zero-sum set splits into two such halves.
 * pruned: the subset search restricted to sizes at or above the certified
-  expansion bound 2*(1-eps)*gamma*n, which is sound only under a verified
-  expansion certificate and is therefore refused without one.
+  expansion bound 2*(1-eps)*size_cap(gamma, n), which is sound only under
+  a verified expansion certificate and is therefore refused without one.
 
 The trivial code {0} has no nonzero codeword; its distance is reported as
 the dedicated INFINITE marker, which deliberately does not support order
@@ -31,6 +31,7 @@ from .graph import (
     check_expansion,
     exact_epsilon,
     exact_rational,
+    size_cap,
 )
 from .subsets import (
     DEFAULT_SUBSET_BUDGET,
@@ -239,7 +240,7 @@ def min_distance_pruned(
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> MinDistanceResult:
     """Subset search restricted to sizes >= the certified expansion bound
-    2*(1-eps)*gamma*n.
+    2*(1-eps)*size_cap(gamma, n) (``distance_lower_bound``).
 
     The certified bound says no smaller witness exists, so the result
     equals the unpruned search while skipping every smaller cardinality.
@@ -248,23 +249,28 @@ def min_distance_pruned(
     alpha), so a strictly-greater cut would miss such witnesses.
     """
     params.certificate.require(params.gamma, params.epsilon, graph)
-    gamma_n = params.gamma * graph.n
-    if gamma_n.denominator != 1 or gamma_n < 1:
-        raise ValueError(
-            f"gamma*n must be a positive integer for pruning, got {gamma_n}"
-        )
     threshold = distance_lower_bound(params.gamma, params.epsilon, graph.n)
     start = max(1, math.ceil(threshold))
     return _search_by_size(graph, start, "pruned", threshold, budget)
 
 
 def distance_lower_bound(gamma, epsilon, n: int) -> Fraction:
-    """The certified-expansion distance bound 2*(1-eps)*gamma*n, exactly."""
-    gamma = exact_rational(gamma, "gamma")
+    """The certified-expansion distance bound 2*(1-eps)*size_cap(gamma, n),
+    exactly: the paper's 2*(1-eps)*gamma*n wherever gamma*n is an integer <= n.
+
+    Proof on a graph certified at gamma and alpha = 1 - eps, with c that
+    cap. Let S be a nonzero codeword. Every nonempty T with |T| <= c has at
+    least 2|N(T)| - d|T| >= d(1-2*eps)|T| > 0 unique neighbors, so odd(T)
+    is nonempty and |S| > c. Now take T inside S with |T| = c. Each unique
+    neighbor of T has an even number of neighbors in S, so it also has one
+    in S minus T. Those edges are distinct, so d(|S| - c) >= d(1-2*eps)c,
+    that is, |S| >= 2(1-eps)c.
+    """
+    cap = size_cap(gamma, n)
     epsilon = exact_epsilon(epsilon)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return 2 * (1 - epsilon) * gamma * n
+    return 2 * (1 - epsilon) * cap
 
 
 def verify_distance_result(

@@ -17,7 +17,8 @@ combination back to its position in that order; a search reports its
 first hit's position as its ``examined`` count, whatever work it did to
 find the hit.
 
-Budget rule: a walk by levels charges each level just before walking it,
+Budget rule: a walk by levels over [0, n) (``first_hit_by_level``, whose
+scan takes the level k alone) charges each level just before walking it,
 as the number of subsets on the levels walked so far plus that one
 (``charge``), and refuses with ``CapabilityError`` only when that count
 would pass the budget. A level that is never walked is never charged.
@@ -30,7 +31,8 @@ ceil(k/2) with equal XOR, so a level where no two distinct subsets of
 those sizes share an XOR is empty. The test runs after the level is
 charged, so a level it rules out is still charged in full. Its memory is
 the XORs of the half-size subsets, which it runs only where they number at
-most the level's own C(n, k).
+most the level's own C(n, k). It grows them as its walk climbs, so each
+walk takes a new one.
 """
 
 from __future__ import annotations
@@ -199,10 +201,10 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
 
 
 class XorZeroLevels:
-    """``scan_xor_zero`` over the columns ``cols`` for one walk by levels
-    (``first_hit_by_level``): called as ``scan(universe, k)`` it returns
-    what ``scan_xor_zero(cols, universe, k)`` returns, but calls it only on
-    a level that the collision test cannot rule out.
+    """``scan_xor_zero`` over all of the columns ``cols`` for one walk by
+    levels (``first_hit_by_level``): called as ``scan(k)`` it returns what
+    ``scan_xor_zero(cols, range(len(cols)), k)`` returns, but calls it only
+    on a level that the collision test cannot rule out.
 
     Collision test: a zero-sum k-set splits into disjoint parts of sizes
     floor(k/2) and ceil(k/2) with equal XOR. So level 2s can hold one only
@@ -215,28 +217,21 @@ class XorZeroLevels:
 
     Memory: the XORs of the subsets of the two half sizes, kept in colex
     order and grown one size at a time. The test runs only where
-    C(u, ceil(k/2)) <= C(u, k), so they never outnumber the subsets of the
+    C(n, ceil(k/2)) <= C(n, k), so they never outnumber the subsets of the
     level they may skip; past that, every level is scanned.
     """
 
     def __init__(self, cols: Sequence[int]):
         self.cols = cols
-        self._start(())
-
-    def _start(self, universe: Sequence[int]):
-        self.universe = universe
-        self.c = [self.cols[v] for v in universe]
         # ``top`` holds the XORs of the ``size``-subsets and ``below`` those
         # of the (size - 1)-subsets: at size 1, the columns and the empty
         # set's 0.
-        self.size, self.below, self.top = 1, [0], self.c
+        self.size, self.below, self.top = 1, [0], cols
 
-    def __call__(self, universe: Sequence[int], k: int):
-        u = len(universe)
+    def __call__(self, k: int):
+        n = len(self.cols)
         half = (k + 1) // 2
-        if 1 <= k <= u and math.comb(u, half) <= math.comb(u, k):
-            if universe != self.universe:
-                self._start(universe)
+        if 1 <= k <= n and math.comb(n, half) <= math.comb(n, k):
             while self.size < half:
                 self._grow()
             if k % 2 == 0:
@@ -245,12 +240,12 @@ class XorZeroLevels:
                 maybe = not set(self.below).isdisjoint(self.top)
             if not maybe:
                 return None
-        return scan_xor_zero(self.cols, universe, k)
+        return scan_xor_zero(self.cols, range(n), k)
 
     def _grow(self):
         # In colex order the s-subsets of positions below j come first, so
         # the (s + 1)-subsets with largest position j are c[j] XOR a prefix.
-        s, top, c = self.size, self.top, self.c
+        s, top, c = self.size, self.top, self.cols
         self.below = top
         self.top = list(chain.from_iterable(
             map(c[j].__xor__, islice(top, math.comb(j, s))) for j in range(s, len(c))
@@ -320,18 +315,18 @@ def level_min_union(masks: Sequence[int], n: int, k: int) -> int | None:
 
 
 def find_first_at_level(
-    scan: Callable[[Sequence[int], int], tuple | None],
+    scan: Callable[[int], tuple | None],
     n: int,
     k: int,
 ):
     """First k-subset of [0, n) in lex order that ``scan`` reports, or None."""
     if k > n or k < 1:
         return None
-    return scan(range(n), k)
+    return scan(k)
 
 
 def first_hit_by_level(
-    scan: Callable[[Sequence[int], int], tuple | None],
+    scan: Callable[[int], tuple | None],
     n: int,
     lo: int,
     hi: int,
@@ -340,7 +335,8 @@ def first_hit_by_level(
     """First subset of [0, n) that ``scan`` reports, by size from ``lo`` to
     ``hi`` and lex within a size, with its 1-based position in that order;
     (None, the count of all those subsets) if there is none. Each level is
-    charged just before it is walked."""
+    charged just before it is walked. ``scan(k)`` returns the lex-first hit
+    among the k-subsets of [0, n), as a sorted index tuple, or None."""
     for k in range(lo, hi + 1):
         charge(n, lo, k, budget)
         hit = find_first_at_level(scan, n, k)

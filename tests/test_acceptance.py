@@ -5,6 +5,7 @@ run (any platform) sees the same 500 graphs.
 """
 
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -45,14 +46,17 @@ def corpus():
 
 
 def certified_cases(graph):
-    """(gamma, epsilon, params) choices with gamma*n in {1, 2} for which the
-    graph certifiably expands with 0 < epsilon < 1/2."""
+    """(gamma, epsilon, params) choices with gamma*n in {1, 3/2, 2} for
+    which the graph certifiably expands with 0 < epsilon < 1/2. At
+    gamma*n = 3/2 the hypothesis constrains sizes up to 1 only (with
+    gamma = 3/2 > 1 when n = 1)."""
     cases = []
-    for target in (1, 2):
-        if target > graph.n:
+    for target in (Fraction(1), Fraction(3, 2), Fraction(2)):
+        cap = math.floor(target)
+        if cap > graph.n:
             continue
-        gamma = Fraction(target, graph.n)
-        profile = expansion_profile(graph, target)
+        gamma = target / graph.n
+        profile = expansion_profile(graph, cap)
         best = profile.best_alpha(gamma)
         if best <= Fraction(1, 2):
             continue
@@ -136,7 +140,7 @@ def test_kernel_subset_agreement_sweep(corpus):
 
 
 def test_pruning_soundness_sweep(corpus):
-    ran = 0
+    ran = half_integer = 0
     for graph in corpus:
         unpruned = None
         for gamma, epsilon, params in certified_cases(graph):
@@ -151,9 +155,12 @@ def test_pruning_soundness_sweep(corpus):
                 assert pruned.distance >= bound
             assert pruned.examined <= unpruned.examined
             ran += 1
+            half_integer += (gamma * graph.n).denominator == 2
     assert ran > 0
-    print(f"PASS pruning-soundness: {ran} certified (gamma, epsilon) cases, "
-          f"pruned == unpruned with examined <= unpruned throughout")
+    assert half_integer > 0
+    print(f"PASS pruning-soundness: {ran} certified (gamma, epsilon) cases "
+          f"({half_integer} with gamma*n = 3/2), pruned == unpruned with "
+          f"examined <= unpruned throughout")
 
 
 def test_bound_and_partition_sweeps(corpus):

@@ -72,10 +72,12 @@ def test_float_option_is_usage_error():
          "expected an exact rational"),
         (["bound", "--gamma", "\u0661/\u0662", "--epsilon", "1/4", "--n", "8"], 2,
          "expected an exact rational"),
+        (["bound", "--gamma", "1/0", "--epsilon", "1/4", "--n", "8"], 2,
+         "argument --gamma: zero denominator in '1/0'"),
     ],
     ids=["minus-separate", "minus-joined", "minus-integer", "plus", "profile-gamma-zero",
          "lemmas-epsilon-half", "lemmas-epsilon-one", "trailing-newline",
-         "integer-trailing-newline", "arabic-indic-digits"],
+         "integer-trailing-newline", "arabic-indic-digits", "zero-denominator"],
 )
 def test_rational_option_rules(argv, status, message, capsys):
     # Rational options are unsigned, so every negative spelling is a usage
@@ -119,6 +121,24 @@ def test_mindist_pruned_demo(capsys):
     assert "threshold: 8/3" in out
     assert "distance: 3" in out
     assert "witness (labels): 6 8 9" in out
+
+
+def test_mindist_pruned_half_integer_gamma_n(tmp_path, capsys):
+    # gamma*n = 5/2: the graph certifies at (1/2, 2/3), the bound reads
+    # size_cap = 2 and is 8/3, and the distance is 3.
+    path = tmp_path / "half.edges"
+    path.write_text("7 5\n0 0\n2 0\n0 1\n1 1\n1 2\n2 2\n3 3\n4 3\n5 4\n6 4\n")
+    status, out, _ = run(
+        capsys, "mindist", str(path), "--method", "pruned",
+        "--gamma", "1/2", "--epsilon", "1/3", "--json",
+    )
+    assert status == 0
+    assert out == (
+        '{"distance": 3, "examined": 1, "method": "pruned", "threshold": "8/3", '
+        '"witness": {"indices": [0, 1, 2], "labels": [8, 9, 10]}}\n'
+    )
+    status, out, _ = run(capsys, "bound", "--gamma", "1/2", "--epsilon", "1/3", "--n", "5")
+    assert (status, out) == (0, "8/3\n")
 
 
 def test_mindist_pruned_requires_rationals():

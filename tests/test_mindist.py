@@ -244,18 +244,33 @@ def test_pruned_preconditions():
         min_distance_pruned(other, params)
 
 
-def test_pruned_rejects_fractional_gamma_n():
-    graph = random_right_regular(GenSpec(6, 5, 2, seed=9))
-    cert = check_expansion(graph, Fraction(1, 2), Fraction(2, 3))
-    if cert.verified:
-        params = PruningParams(Fraction(1, 2), Fraction(1, 3), cert)
-        with pytest.raises(ValueError, match="positive integer"):
-            min_distance_pruned(graph, params)  # gamma*n = 5/2
+# A 7x5 graph with gamma*n = 5/2 that certifies at (1/2, 2/3) and has
+# distance 3: the expansion hypothesis constrains sizes up to 2 only, so the
+# bound is 2*(2/3)*2 = 8/3, while 2*(2/3)*(5/2) = 10/3 would exceed 3.
+HALF_INTEGER = BipartiteGraph.from_edges(7, 5, [
+    (0, 0), (2, 0), (0, 1), (1, 1), (1, 2), (2, 2), (3, 3), (4, 3), (5, 4), (6, 4),
+])
+
+
+def test_half_integer_gamma_n_bound_is_sound():
+    cert = check_expansion(HALF_INTEGER, HALF, Fraction(2, 3))
+    assert cert.verified
+    unpruned = min_distance_subset(HALF_INTEGER)
+    assert unpruned.distance == 3
+    assert unpruned.witness == RightSubset.of(5, (0, 1, 2))
+    bound = distance_lower_bound(HALF, Fraction(1, 3), 5)
+    assert bound == Fraction(8, 3) <= unpruned.distance
+    pruned = min_distance_pruned(HALF_INTEGER, PruningParams(HALF, Fraction(1, 3), cert))
+    assert (pruned.distance, pruned.witness, pruned.threshold) == (3, unpruned.witness, bound)
+    assert pruned.examined == 1
 
 
 def test_lower_bound_values():
     assert distance_lower_bound(HALF, Fraction(1, 3), 4) == Fraction(8, 3)
     assert distance_lower_bound(HALF, Fraction(1, 4), 8) == 6
+    # gamma*n = 5/2 constrains sizes up to 2; gamma = 3 caps at n = 5
+    assert distance_lower_bound(HALF, Fraction(1, 3), 5) == Fraction(8, 3)
+    assert distance_lower_bound(3, Fraction(1, 3), 5) == Fraction(20, 3)
     with pytest.raises(ValueError):
         distance_lower_bound(HALF, Fraction(1, 2), 4)
     with pytest.raises(ValueError):
