@@ -122,21 +122,30 @@ def parse_graph(text: str, fmt: str = EDGE_LIST) -> BipartiteGraph:
 
 def serialize_edge_list(graph: BipartiteGraph) -> str:
     """Canonical edge-list form: header then edges sorted by (left, right)."""
-    edges = sorted(
-        (left, right)
-        for right, neigh in enumerate(graph.right_adj)
-        for left in neigh
-    )
+    buckets: list[list[str]] = [[] for _ in range(graph.m)]
+    for right, neigh in enumerate(graph.right_adj):
+        label = str(right)
+        for left in neigh:
+            buckets[left].append(label)
     lines = [f"{graph.m} {graph.n}"]
-    lines.extend(f"{left} {right}" for left, right in edges)
+    for left, rights in enumerate(buckets):
+        prefix = f"{left} "
+        lines.extend([prefix + right for right in rights])
     return "\n".join(lines) + "\n"
 
 
 def serialize_matrix(graph: BipartiteGraph) -> str:
     """Matrix form: header then one row of 0/1 entries per left vertex."""
-    columns = graph.biadjacency().columns
-    lines = [f"{graph.m} {graph.n}"]
-    lines.extend(" ".join("01"[(col >> i) & 1] for col in columns) for i in range(graph.m))
+    n = graph.n
+    rows = [0] * graph.m
+    for right, neigh in enumerate(graph.right_adj):
+        bit = 1 << right
+        for left in neigh:
+            rows[left] |= bit
+    lines = [f"{graph.m} {n}"]
+    # Bit j of a row is entry j, so the binary digits read right to left;
+    # with no columns every row is an empty line.
+    lines.extend(" ".join(format(row, f"0{n}b")[::-1]) if n else "" for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -170,21 +179,40 @@ class SplitMix64:
         self._state = seed & _U64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _U64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _U64
-        z = ((z ^ (z >> 27)) * _MIX2) & _U64
-        return z ^ (z >> 31)
+        return self._sample(1 << 64, 1)[0]
 
     def below(self, bound: int) -> int:
         """Uniform draw from [0, bound) by rejection; no modulo bias."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            value = self.next_u64()
-            if value < limit:
-                return value % bound
+        return self._sample(bound, 1)[0]
+
+    def _sample(self, bound: int, count: int) -> list[int]:
+        """``count`` distinct values below ``bound``, ascending.
+
+        Each output at or above the largest multiple of ``bound`` that fits
+        in 2^64 is rejected and the next one taken, so the value mod
+        ``bound`` is uniform; a value already drawn is drawn again, so the
+        stream is consumed exactly as by ``below(bound)`` calls repeated
+        until ``count`` distinct values are seen. Refuses, before any draw,
+        a bound outside [1, 2^64] and a count it could never reach.
+        """
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
+        if not 0 <= count <= bound:
+            raise ValueError(f"cannot draw {count} distinct values below {bound}")
+        limit = (1 << 64) - (1 << 64) % bound
+        state = self._state
+        # Locals, not module globals, in the loop that does all the work.
+        golden, mix1, mix2, mask = _GOLDEN, _MIX1, _MIX2, _U64
+        chosen: set[int] = set()
+        while len(chosen) < count:
+            state = (state + golden) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            z ^= z >> 31
+            if z < limit:
+                chosen.add(z % bound)
+        self._state = state
+        return sorted(chosen)
 
 
 @dataclass(frozen=True)
@@ -214,10 +242,6 @@ def random_right_regular(spec: GenSpec) -> BipartiteGraph:
     before any pruning-dependent computation.
     """
     rng = SplitMix64(spec.seed)
-    adjacency = []
-    for _ in range(spec.n):
-        chosen: set[int] = set()
-        while len(chosen) < spec.d:
-            chosen.add(rng.below(spec.m))
-        adjacency.append(tuple(sorted(chosen)))
-    return BipartiteGraph(spec.m, spec.n, tuple(adjacency))
+    return BipartiteGraph(
+        spec.m, spec.n, tuple(rng._sample(spec.m, spec.d) for _ in range(spec.n))
+    )

@@ -337,6 +337,15 @@ def test_gen_invalid_degree(capsys):
     assert "d must satisfy" in err
 
 
+def test_gen_refuses_bound_past_64_bits(capsys):
+    # one draw below 2**64 + 1 would have a rejection limit of 0 and never end
+    status, out, err = run(
+        capsys, "gen", "--m", str(2**64 + 1), "--n", "1", "--d", "1", "--seed", "0"
+    )
+    assert (status, out) == (1, "")
+    assert err.startswith("error: bound must be in [1, 2**64]")
+
+
 def test_lemmas_demo_all_hold(capsys):
     status, out, _ = run(capsys, "lemmas", "figure1", "--gamma", "1/2", "--epsilon", "1/3")
     assert status == 0

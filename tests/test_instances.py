@@ -1,6 +1,10 @@
 """Parsing, serialization, the built-in instance, and seeded generation."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expandercodes import (
     BipartiteGraph,
@@ -12,7 +16,12 @@ from expandercodes import (
     random_right_regular,
     serialize_graph,
 )
-from expandercodes.instances import parse_edge_list, parse_matrix, serialize_matrix
+from expandercodes.instances import (
+    parse_edge_list,
+    parse_matrix,
+    serialize_edge_list,
+    serialize_matrix,
+)
 
 DEMO_EDGE_TEXT = """\
 # demo instance
@@ -86,6 +95,48 @@ def test_serialize_edge_list_canonical():
     assert "#" not in out
 
 
+def reference_edge_list(graph):
+    """The writer's specification: every edge, sorted by (left, right)."""
+    edges = sorted(
+        (left, right)
+        for right, neigh in enumerate(graph.right_adj)
+        for left in neigh
+    )
+    lines = [f"{graph.m} {graph.n}"]
+    lines.extend(f"{left} {right}" for left, right in edges)
+    return "\n".join(lines) + "\n"
+
+
+def reference_matrix(graph):
+    """The writer's specification: entry (i, j) is bit i of column j."""
+    columns = graph.biadjacency().columns
+    lines = [f"{graph.m} {graph.n}"]
+    lines.extend(" ".join("01"[(col >> i) & 1] for col in columns) for i in range(graph.m))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def irregular_graphs(draw):
+    """Any right degrees from 0 to m, so isolated vertices on both sides and
+    m = 0 or n = 0 all occur."""
+    m = draw(st.integers(0, 7))
+    n = draw(st.integers(0, 7))
+    neighbourhood = st.sets(st.integers(0, m - 1), max_size=m) if m else st.just(set())
+    adj = draw(st.lists(neighbourhood, min_size=n, max_size=n))
+    return BipartiteGraph(m, n, tuple(map(tuple, adj)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(irregular_graphs())
+def test_writers_match_reference_and_round_trip(g):
+    edge_text = serialize_edge_list(g)
+    matrix_text = serialize_matrix(g)
+    assert edge_text == reference_edge_list(g)
+    assert matrix_text == reference_matrix(g)
+    assert parse_edge_list(edge_text) == g
+    assert parse_matrix(matrix_text) == g
+
+
 def test_parse_errors_are_line_numbered():
     with pytest.raises(ParseError, match="missing 'm n' header"):
         parse_edge_list("")
@@ -122,6 +173,53 @@ def test_splitmix64_below_range_and_determinism():
     assert draws == [again.below(7) for _ in range(200)]
     with pytest.raises(ValueError):
         rng.below(0)
+
+
+def test_splitmix64_draw_vector():
+    # seed 2024: 23 outputs feed these 17 draws, 7 of them rejected by the
+    # 2**63 + 1 bound, whose rejection limit is 2**63 + 1 itself
+    rng = SplitMix64(2024)
+    assert [rng.next_u64() for _ in range(3)] == [
+        11487996472437173461, 1793612131670815442, 5507758030568793471,
+    ]
+    assert [rng.below(b) for b in (1, 2, 3, 7, 1000, 2**32 + 1, 2**63 + 1, 2**64 - 1, 2**64)] == [
+        0, 0, 1, 4, 474, 812645456, 7874116809064317745, 8514204351514911545,
+        15439645302585675035,
+    ]
+    assert [rng.below(2**63 + 1) for _ in range(4)] == [
+        2685005278848832341, 6254024509325835039, 8232468080117621319, 4914095186226240534,
+    ]
+    assert rng.next_u64() == 8149731417060244518
+
+
+def test_sampling_refuses_before_any_draw():
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        rng.below(2**64 + 1)
+    with pytest.raises(ValueError, match="cannot draw 4 distinct values below 3"):
+        rng._sample(3, 4)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        random_right_regular(GenSpec(m=2**64 + 1, n=1, d=1, seed=0))
+    # the refusals left the stream where it was
+    assert rng.next_u64() == SplitMix64(5).next_u64()
+    assert SplitMix64(5)._sample(3, 3) == [0, 1, 2]
+
+
+# SHA-256 over both formats of every shape and seed below, in that order;
+# the stream, the rejection rule and both writers fix every byte of it.
+GENERATOR_SHAPES = ((18, 26, 5), (8, 28, 3), (60, 24, 4), (12, 19, 3), (5, 4, 2), (120, 900, 4), (3, 7, 3))
+GENERATOR_SEEDS = (*range(60), 2**63, 2**64 - 1)
+GENERATOR_SHA256 = "7083c24bf362c0ab4e6972d005d56ec0052e95d292a313dcb1310b5391afe1ec"
+
+
+def test_generated_corpus_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for m, n, d in GENERATOR_SHAPES:
+        for seed in GENERATOR_SEEDS:
+            g = random_right_regular(GenSpec(m, n, d, seed))
+            for fmt in ("edge-list", "matrix"):
+                digest.update(serialize_graph(g, fmt).encode())
+    assert digest.hexdigest() == GENERATOR_SHA256
 
 
 def test_generator_right_regular_and_deterministic():
