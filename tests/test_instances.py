@@ -176,7 +176,7 @@ def test_splitmix64_below_range_and_determinism():
 
 
 def test_splitmix64_draw_vector():
-    # seed 2024: 23 outputs feed these 17 draws, 7 of them rejected by the
+    # seed 2024: 24 outputs feed these 17 draws, 7 of them rejected by the
     # 2**63 + 1 bound, whose rejection limit is 2**63 + 1 itself
     rng = SplitMix64(2024)
     assert [rng.next_u64() for _ in range(3)] == [
