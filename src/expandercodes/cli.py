@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Exit status: 0 on success, 1 on domain/precondition/capability errors,
-2 on parse and usage errors. Rational options are written unsigned, as
-"p/q" or as integers; floats and signs other than "+" are rejected. All
-rationals in the output are printed exactly.
+Exit status: 0 on success, 1 on domain/precondition/capability errors and
+unwritable output, 2 on parse and usage errors and unreadable input. Rational
+options are written unsigned, as "p/q" or as integers; floats and signs
+other than "+" are rejected. All rationals in the output are printed exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -68,7 +69,10 @@ def _rational_arg(text: str) -> Fraction:
 def load_graph(source: str, fmt: str) -> BipartiteGraph:
     if source == "figure1":
         return figure1()
-    return parse_graph(Path(source).read_text(), fmt)
+    try:
+        return parse_graph(Path(source).read_text(), fmt)
+    except OSError as exc:
+        raise ParseError(f"cannot read input: {exc}") from exc
 
 
 def _print_record(record: dict) -> None:
@@ -271,13 +275,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # Resolved per call, so a rebinding of a cmd_* function is used.
-        return globals()[f"cmd_{args.command}"](args)
+        status = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # fail here, inside the handler, not at exit
+        return status
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # load_graph reports a failed read as a ParseError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # Buffered output would fail again at exit; the null device takes it.
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 1
     except (ValueError, IndexError, TypeError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

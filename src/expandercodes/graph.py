@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .gf2 import Gf2Matrix, nullspace_basis
@@ -29,6 +28,7 @@ from .subsets import (
     first_hit_by_level,
     level_min_union,
     scan_union_below,
+    _unions_below,
     _xor,
 )
 
@@ -336,9 +336,8 @@ def odd_neighborhood_bounds(graph: BipartiteGraph, subset: RightSubset, epsilon)
 class BoundsSweep:
     """The sandwich inequality over all nonempty subsets up to
     size_cap(gamma, n). ``subsets_checked`` counts the subsets it was
-    established for: all of them when it holds, whether an expansion
-    certificate settled it or the sweep walked them; otherwise up to and
-    including ``violation``, the first failure."""
+    established for, walked or not: all of them when it holds, otherwise
+    those up to and including ``violation``, the first failure."""
 
     gamma: Fraction
     epsilon: Fraction
@@ -376,18 +375,15 @@ def find_bounds_violation(
     """Find the first nonempty S with |S| <= size_cap(gamma, n), in
     (cardinality, lex) order, that fails d*(1-2*eps)*|S| <= |odd(S)| <= |N(S)|.
 
-    odd(S) is a subset of N(S), so the right-hand inequality always holds
-    and only the lower bound is tested; |N(S)| is computed for the record
-    of a violation.
+    odd(S) lies in N(S), so only the lower bound is tested. A left vertex
+    of N(S) that is not a unique neighbor takes two or more of the d|S|
+    edges, so |odd(S)| >= 2|N(S)| - d|S| (Sipser-Spielman, "Expander
+    codes", 1996), and only an S with |N(S)| < d(1-eps)|S| can fail: each
+    level walks just those, by the union walk of ``check_expansion``.
 
     ``certificate``, when given, must be verified for this graph, gamma and
-    alpha = 1 - epsilon (ValueError otherwise), and settles the bound with
-    no sweep: each left vertex of N(S) that is not a unique neighbor takes
-    at least two of the d|S| edges, so |odd(S)| >= 2|N(S)| - d|S| >=
-    d(1-2*eps)|S| (the unique-neighbor step of Sipser-Spielman, "Expander
-    codes", 1996). The result is the sweep's own: no violation, and every
-    subset up to the cap counted. Without one, the subsets are walked up
-    to the first failure.
+    alpha = 1 - epsilon (ValueError otherwise); then no S is that small, and
+    the sweep's result (no violation, all subsets to the cap) needs no walk.
     """
     gamma = exact_rational(gamma, "gamma")
     epsilon = exact_epsilon(epsilon)
@@ -396,16 +392,13 @@ def find_bounds_violation(
     if certificate is not None:
         certificate.require(gamma, epsilon, graph)
         return BoundsSweep(gamma, epsilon, cap, count_sizes(n, 1, cap), None)
-    masks = graph._masks
 
     def scan(k):
         # For an integer count c, c < x exactly when c < ceil(x).
         lower = math.ceil(d * (1 - 2 * epsilon) * k)
-        for combo in combinations(range(n), k):
-            odd = 0
-            for j in combo:
-                odd ^= masks[j]
-            if odd.bit_count() < lower:
+        below = math.ceil(d * (1 - epsilon) * k)
+        for combo, _ in _unions_below(graph._masks, k, below, _fixed=True):
+            if _xor(graph._masks, combo).bit_count() < lower:
                 return combo
         return None
 

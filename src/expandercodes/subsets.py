@@ -258,14 +258,14 @@ def _xor(c: Sequence[int], positions: Iterable[int]) -> int:
     return reduce(xor, map(c.__getitem__, positions), 0)
 
 
-def _unions_below(masks: Sequence[int], k: int, bound):
+def _unions_below(masks: Sequence[int], k: int, bound, *, _fixed: bool = False):
     """Each k-combination of positions of ``masks``, in lex order, whose
     union (OR) has fewer than ``bound`` set bits, as (positions, bit count).
 
     ``bound`` falls to the count of each yield, so every yield is strictly
-    below the last. Unions only grow as positions are added, so a prefix
-    whose union already has ``bound`` bits has no leaf below the bound and
-    is cut; each leaf is visited at most once.
+    below the last, unless ``_fixed`` holds it. Unions only grow as
+    positions are added, so a prefix whose union has ``bound`` bits has no
+    leaf below the bound and is cut; each leaf is visited at most once.
     """
     u = len(masks)
     combo = [0] * k
@@ -279,7 +279,7 @@ def _unions_below(masks: Sequence[int], k: int, bound):
                 continue
             combo[depth] = j
             if depth == k - 1:
-                bound = count
+                bound = bound if _fixed else count
                 yield tuple(combo), count
             else:
                 yield from walk(j + 1, union, depth + 1)
@@ -298,8 +298,6 @@ def scan_union_below(
     every combination meets the requirement."""
     if k == 0:
         return () if min_required > 0 else None
-    if k > len(universe):
-        return None
     hit = next(_unions_below([masks[v] for v in universe], k, min_required), None)
     return None if hit is None else tuple(universe[i] for i in hit[0])
 

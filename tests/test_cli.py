@@ -273,12 +273,12 @@ def test_lemmas_json(tmp_path, capsys):
 
 def test_lemmas_settles_bounds_without_sweep(monkeypatch, tmp_path, capsys):
     # The verified certificate settles the sandwich bound: the bounds
-    # sweep's subset walk, the only user of combinations in graph.py, never
+    # sweep's subset walk, the only user of _unions_below in graph.py, never
     # runs, and the record still counts every subset up to the size cap.
-    def no_walk(*args):
+    def no_walk(*args, **kwargs):
         raise AssertionError("the bounds sweep walked subsets")
 
-    monkeypatch.setattr("expandercodes.graph.combinations", no_walk)
+    monkeypatch.setattr("expandercodes.graph._unions_below", no_walk)
     path = tmp_path / "seeded.edges"
     path.write_text(serialize_graph(random_right_regular(GenSpec(8, 12, 3, seed=8))))
     for graph, gamma, size_cap, checked in (("figure1", "1/2", 2, 10),
@@ -369,6 +369,24 @@ def test_missing_file_is_exit_two(capsys):
     status, _, err = run(capsys, "mindist", "/nonexistent/graph.edges")
     assert status == 2
     assert "cannot read input" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_unwritable_output_is_exit_one():
+    # Every write to /dev/full fails with ENOSPC: that is an output error,
+    # exit 1, not an input one, and nothing escapes to a traceback at exit.
+    # Buffered, as stdout is by default, the output is first written at the
+    # flush in main.
+    env = dict(os.environ, PYTHONPATH=str(Path(expandercodes.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "expandercodes.cli", "mindist", "figure1", "--json"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_profile_refuses_degree_zero(tmp_path):

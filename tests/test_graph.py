@@ -1,6 +1,7 @@
 """Graph layer: neighborhoods, the odd-neighborhood operator, and
 exhaustive expansion verification."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -255,6 +256,46 @@ def test_uncertified_graph_can_violate_bounds():
                 violated += sweep.violation is not None
                 assert not (cert.verified and sweep.violation is not None)
     assert certified > 0 and violated > 0
+
+
+def first_bounds_failure(graph, gamma, epsilon):
+    """Oracle: (violation, subsets checked) from a plain walk over every
+    subset up to the cap in (cardinality, lex) order, counting each left
+    vertex's neighbors in S from the adjacency lists."""
+    n, d = graph.n, graph.d
+    checked = 0
+    for k in range(1, min(n, gamma.numerator * n // gamma.denominator) + 1):
+        lower = d * (1 - 2 * epsilon) * k
+        for combo in combinations(range(n), k):
+            checked += 1
+            hits = Counter(i for j in combo for i in graph.right_adj[j])
+            odd = sum(c % 2 for c in hits.values())
+            if odd < lower:
+                return (RightSubset.of(n, combo), lower, odd, len(hits)), checked
+    return None, checked
+
+
+def test_bounds_sweep_matches_brute_force_oracle():
+    # The sweep walks only the subsets with |N(S)| < d(1-eps)|S|; the plain
+    # walk must find the same first failure after the same count, on
+    # graphs that expand at (gamma, 1 - eps) and on graphs that do not.
+    cases = certified = violated = deep = 0
+    for seed in range(60):
+        d = 2 + seed % 4
+        n = 5 + seed % 7
+        graph = random_right_regular(GenSpec(d + 1 + seed % 8, n, d, seed))
+        for gamma in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+            for epsilon in (Fraction(1, 12), Fraction(1, 4), Fraction(5, 12)):
+                sweep = find_bounds_violation(graph, gamma, epsilon)
+                assert (sweep.violation, sweep.subsets_checked) == first_bounds_failure(
+                    graph, gamma, epsilon)
+                cases += 1
+                certified += check_expansion(graph, gamma, 1 - epsilon).verified
+                violated += sweep.violation is not None
+                deep += sweep.violation is not None and len(sweep.violation[0]) > 2
+    assert cases == 540
+    # Both kinds of graph occur, and failures past the pair level too.
+    assert certified >= 80 and violated >= 300 and deep >= 30
 
 
 @pytest.mark.parametrize(

@@ -191,6 +191,12 @@ def test_union_scans_match_brute_force(case):
         expected = (min(union_size(masks, c) for c in combinations(range(n), k))
                     if 1 <= k <= n else None)
         assert level_min_union(masks, n, k) == expected
+    # With the bound held fixed the walk yields every combination below it.
+    for k in range(1, n + 1):
+        for bound in range(width + 2):
+            expected = [(c, union_size(masks, c)) for c in combinations(range(n), k)
+                        if union_size(masks, c) < bound]
+            assert list(subsets._unions_below(masks, k, bound, _fixed=True)) == expected
 
 
 # The benchmark's tracer binds these functions' arguments by name, so a
