@@ -71,7 +71,7 @@ def load_graph(source: str, fmt: str) -> BipartiteGraph:
         return figure1()
     try:
         return parse_graph(Path(source).read_text(), fmt)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
 
 

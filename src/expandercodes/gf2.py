@@ -39,27 +39,6 @@ class Gf2Matrix:
             if col < 0 or col >> self.rows:
                 raise ValueError(f"column {j} has bits outside [0, {self.rows})")
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols, (0,) * cols)
-
-    @classmethod
-    def identity(cls, k: int) -> "Gf2Matrix":
-        return cls(k, k, tuple(1 << i for i in range(k)))
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row index {i} out of range [0, {self.rows})")
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column index {j} out of range [0, {self.cols})")
-        return (self.columns[j] >> i) & 1
-
-    def to_rows(self) -> list[list[int]]:
-        return [
-            [(self.columns[j] >> i) & 1 for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-
 
 def xor_columns(matrix: Gf2Matrix, subset: RightSubset) -> int:
     """Mod-2 sum of the columns selected by ``subset``, packed like a

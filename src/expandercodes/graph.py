@@ -56,8 +56,13 @@ def exact_epsilon(value) -> Fraction:
 
 def size_cap(gamma, n: int) -> int:
     """Largest subset size the expansion hypothesis constrains on n right
-    vertices: min(n, floor(gamma*n)) for gamma > 0."""
-    return min(n, math.floor(exact_rational(gamma, "gamma") * n))
+    vertices: min(n, floor(gamma*n)) for gamma > 0 and an int n >= 0."""
+    gamma = exact_rational(gamma, "gamma")
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an int, not {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return min(n, math.floor(gamma * n))
 
 
 def _expansion_degree(d: int | None) -> int:
@@ -114,20 +119,6 @@ class BipartiteGraph:
                 raise ValueError(f"right index {right} out of range [0, {n})")
             adj[right].append(left)
         return cls(m, n, tuple(tuple(a) for a in adj))
-
-    @classmethod
-    def from_biadjacency(cls, matrix: Gf2Matrix) -> "BipartiteGraph":
-        return cls(
-            matrix.rows,
-            matrix.cols,
-            tuple(bit_indices(col) for col in matrix.columns),
-        )
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        """N(v) for a right vertex v."""
-        if not 0 <= v < self.n:
-            raise IndexError(f"right-vertex index {v} out of range [0, {self.n})")
-        return frozenset(self.right_adj[v])
 
     def neighbor_set(self, subset: RightSubset) -> frozenset[int]:
         """N(S): union of the neighborhoods of the vertices in S."""

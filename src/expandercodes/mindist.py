@@ -267,10 +267,7 @@ def distance_lower_bound(gamma, epsilon, n: int) -> Fraction:
     that is, |S| >= 2(1-eps)c.
     """
     cap = size_cap(gamma, n)
-    epsilon = exact_epsilon(epsilon)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return 2 * (1 - epsilon) * cap
+    return 2 * (1 - exact_epsilon(epsilon)) * cap
 
 
 def verify_distance_result(

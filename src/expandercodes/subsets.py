@@ -88,14 +88,6 @@ class RightSubset:
             bits |= 1 << i
         return cls(n, bits)
 
-    @classmethod
-    def empty(cls, n: int) -> "RightSubset":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "RightSubset":
-        return cls(n, (1 << n) - 1)
-
     @property
     def indices(self) -> tuple[int, ...]:
         return bit_indices(self.bits)
@@ -106,18 +98,10 @@ class RightSubset:
     def __iter__(self):
         return iter(self.indices)
 
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.bits >> v) & 1 == 1
-
     def __xor__(self, other: "RightSubset") -> "RightSubset":
         if self.n != other.n:
             raise ValueError("symmetric difference needs matching universes")
         return RightSubset(self.n, self.bits ^ other.bits)
-
-    def toggled(self, v: int) -> "RightSubset":
-        if not 0 <= v < self.n:
-            raise IndexError(f"right-vertex index {v} out of range [0, {self.n})")
-        return RightSubset(self.n, self.bits ^ (1 << v))
 
     def to_record(self, m: int) -> dict:
         """0-based indices and 1-based display labels: with ``m`` left

@@ -30,6 +30,42 @@ def test_star_import_and_exports():
     exec("from expandercodes import *", namespace)
     for name in expandercodes.__all__:
         assert namespace[name] is getattr(expandercodes, name)
+    # The public API, pinned: adding or dropping a name is a visible change.
+    assert expandercodes.__all__ == [
+        "BipartiteGraph",
+        "BoundsSweep",
+        "CapabilityError",
+        "ExpanderCertificate",
+        "ExpansionProfile",
+        "ExpansionViolation",
+        "GenSpec",
+        "Gf2Matrix",
+        "INFINITE",
+        "MinDistanceResult",
+        "ParseError",
+        "PartitionSweep",
+        "PruningParams",
+        "RightSubset",
+        "SplitMix64",
+        "check_expansion",
+        "distance_lower_bound",
+        "expansion_profile",
+        "figure1",
+        "find_bounds_violation",
+        "find_partition_violation",
+        "is_minimal_dependent",
+        "min_distance_kernel",
+        "min_distance_pruned",
+        "min_distance_subset",
+        "nullspace_basis",
+        "odd_neighborhood_bounds",
+        "parse_graph",
+        "random_right_regular",
+        "rank",
+        "serialize_graph",
+        "verify_distance_result",
+        "xor_columns",
+    ]
 
 
 def run(capsys, *argv):
@@ -365,10 +401,17 @@ def test_lemmas_refuses_non_expander(capsys):
         ) in err
 
 
-def test_missing_file_is_exit_two(capsys):
-    status, _, err = run(capsys, "mindist", "/nonexistent/graph.edges")
+@pytest.mark.parametrize("fmt", ["edge-list", "matrix"])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\n"], ids=["missing", "undecodable"])
+def test_missing_file_is_exit_two(capsys, tmp_path, content, fmt):
+    # A file that is absent and one that is not UTF-8 both cannot be read.
+    path = tmp_path / "graph.txt"
+    if content is not None:
+        path.write_bytes(content)
+    status, out, err = run(capsys, "mindist", str(path), "--format", fmt)
     assert status == 2
-    assert "cannot read input" in err
+    assert out == ""
+    assert err.startswith("error: cannot read input: ")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

@@ -20,7 +20,9 @@ from expandercodes import (
     find_bounds_violation,
     find_partition_violation,
     odd_neighborhood_bounds,
+    parse_graph,
     random_right_regular,
+    serialize_graph,
     xor_columns,
 )
 from expandercodes.subsets import bit_indices
@@ -41,28 +43,26 @@ def sub(*idx):
 
 
 def test_neighbors():
-    assert G.neighbors(0) == {0, 1}  # label 6 -> {1, 2}
-    assert G.neighbors(1) == {3, 4}  # label 7 -> {4, 5}
-    assert all(len(G.neighbors(v)) == G.d for v in range(G.n))
-    with pytest.raises(IndexError):
-        G.neighbors(4)
+    assert G.neighbor_set(sub(0)) == {0, 1}  # label 6 -> {1, 2}
+    assert G.neighbor_set(sub(1)) == {3, 4}  # label 7 -> {4, 5}
+    assert all(len(G.neighbor_set(sub(v))) == G.d for v in range(G.n))
 
 
 def test_neighbor_set():
     assert len(G.neighbor_set(sub(0))) == 2
-    assert G.neighbor_set(RightSubset.empty(G.n)) == frozenset()
-    assert G.neighbor_set(RightSubset.full(G.n)) == {0, 1, 2, 3, 4}
+    assert G.neighbor_set(sub()) == frozenset()
+    assert G.neighbor_set(sub(*range(G.n))) == {0, 1, 2, 3, 4}
 
 
 def test_odd_neighborhood_demo_values():
     assert G.odd_neighborhood(sub(0, 1, 2)) == {0, 2, 3, 4}  # labels {1,3,4,5}
     assert G.odd_neighborhood(sub(0, 2, 3)) == frozenset()
     for v in range(G.n):
-        assert G.odd_neighborhood(sub(v)) == G.neighbors(v)
+        assert G.odd_neighborhood(sub(v)) == G.neighbor_set(sub(v))
 
 
 def test_biadjacency_round_trip():
-    again = BipartiteGraph.from_biadjacency(G.biadjacency())
+    again = parse_graph(serialize_graph(G, "matrix"), "matrix")
     assert again == G
     empty = BipartiteGraph(3, 2, ((), ()))
     assert empty.biadjacency().columns == (0, 0)
@@ -169,7 +169,7 @@ def test_odd_neighborhood_bounds_demo():
 
 def test_odd_neighborhood_bounds_errors():
     with pytest.raises(ValueError, match="nonempty"):
-        odd_neighborhood_bounds(G, RightSubset.empty(G.n), HALF)
+        odd_neighborhood_bounds(G, sub(), HALF)
 
 
 def test_bridge_toggle_parity_exhaustive_demo():
@@ -182,7 +182,8 @@ def test_bridge_toggle_parity_exhaustive_demo():
         assert odd <= G.neighbor_set(s)
         assert len(odd) % 2 == (G.d * len(s)) % 2
         for v in range(G.n):
-            assert G.odd_neighborhood(s.toggled(v)) == odd ^ G.neighbors(v)
+            toggled = RightSubset(G.n, bits ^ (1 << v))
+            assert G.odd_neighborhood(toggled) == odd ^ G.neighbor_set(sub(v))
 
 
 def test_find_bounds_violation_demo_all_hold():

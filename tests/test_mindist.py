@@ -57,7 +57,7 @@ def test_kernel_demo():
 
 
 def test_kernel_full_rank_infinite():
-    result = min_distance_kernel(Gf2Matrix.identity(4))
+    result = min_distance_kernel(Gf2Matrix(4, 4, (1, 2, 4, 8)))
     assert result.distance is INFINITE
     assert result.is_infinite and result.witness is None
 
@@ -73,13 +73,13 @@ def test_kernel_dimension_cap():
     # The budget is the only limit on the dimension: level 1 of a
     # dimension-k code costs k sums, it finds weight 1, and the level cut
     # stops the walk before level 2 is charged.
-    result = min_distance_kernel(Gf2Matrix.zeros(1, 31))
+    result = min_distance_kernel(Gf2Matrix(1, 31, (0,) * 31))
     assert result.distance == 1
     assert result.witness == RightSubset.of(31, (0,))
     assert result.examined == 2**31 - 1
     with pytest.raises(CapabilityError, match="over the budget of 11"):
-        min_distance_kernel(Gf2Matrix.zeros(1, 12), budget=11)
-    result = min_distance_kernel(Gf2Matrix.zeros(1, 12), budget=12)
+        min_distance_kernel(Gf2Matrix(1, 12, (0,) * 12), budget=11)
+    result = min_distance_kernel(Gf2Matrix(1, 12, (0,) * 12), budget=12)
     assert (result.distance, result.witness) == (1, RightSubset.of(12, (0,)))
 
 
@@ -161,7 +161,7 @@ def test_subset_infinite():
     # Full column rank: every level up to k = n is searched and comes up
     # empty; at n = 20 that includes levels where the split falls to t = 0.
     for n in (5, 20):
-        graph = BipartiteGraph.from_biadjacency(Gf2Matrix.identity(n))
+        graph = BipartiteGraph(n, n, tuple((j,) for j in range(n)))
         result = min_distance_subset(graph)
         assert result.distance is INFINITE
         assert result.witness is None
@@ -176,7 +176,7 @@ def test_subset_path_code_distance_n():
     ))
     result = min_distance_subset(graph)
     assert result.distance == n
-    assert result.witness == RightSubset.full(n)
+    assert result.witness == RightSubset(n, (1 << n) - 1)
     assert result.examined == 2**n - 1
     by_kernel = min_distance_kernel(graph.biadjacency())
     assert (by_kernel.distance, by_kernel.witness) == (n, result.witness)
@@ -277,6 +277,13 @@ def test_lower_bound_values():
         distance_lower_bound(0, Fraction(1, 3), 4)
     with pytest.raises(TypeError):
         distance_lower_bound(0.5, Fraction(1, 3), 4)
+    # n is a vertex count: an int >= 0, never a float or a Fraction
+    with pytest.raises(TypeError, match="n must be an int"):
+        distance_lower_bound(2, Fraction(1, 3), 5.5)
+    with pytest.raises(TypeError, match="n must be an int"):
+        distance_lower_bound(HALF, Fraction(1, 3), Fraction(11, 2))
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        distance_lower_bound(HALF, Fraction(1, 3), -1)
 
 
 def test_verify_distance_result_demo():
@@ -294,12 +301,12 @@ def test_verify_distance_result_duplicate_columns():
 
 def test_verify_distance_result_rejects_corruption():
     good = min_distance_subset(G)
-    too_large = MinDistanceResult(4, RightSubset.full(4), "subset", good.examined)
+    too_large = MinDistanceResult(4, RightSubset(4, 0b1111), "subset", good.examined)
     assert verify_distance_result(B, too_large) is False
     wrong_witness = MinDistanceResult(3, RightSubset.of(4, (0, 1, 2)), "subset", 1)
     assert verify_distance_result(B, wrong_witness) is False
     with pytest.raises(ValueError):
-        verify_distance_result(B, min_distance_kernel(Gf2Matrix.identity(3)))
+        verify_distance_result(B, min_distance_kernel(Gf2Matrix(3, 3, (1, 2, 4))))
 
 
 def test_kernel_subset_agree_small_sweep():
@@ -368,5 +375,5 @@ def test_record_shape():
         "examined": 13,
         "threshold": None,
     }
-    inf = min_distance_kernel(Gf2Matrix.identity(3)).to_record(3)
+    inf = min_distance_kernel(Gf2Matrix(3, 3, (1, 2, 4))).to_record(3)
     assert inf["distance"] == "infinite" and inf["witness"] is None
