@@ -14,7 +14,6 @@ from .graph import (
     BoundsSweep,
     ExpanderCertificate,
     ExpansionProfile,
-    ExpansionViolation,
     PartitionSweep,
     check_expansion,
     expansion_profile,
@@ -48,7 +47,6 @@ __all__ = [
     "CapabilityError",
     "ExpanderCertificate",
     "ExpansionProfile",
-    "ExpansionViolation",
     "GenSpec",
     "Gf2Matrix",
     "INFINITE",

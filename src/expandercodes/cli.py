@@ -70,7 +70,7 @@ def load_graph(source: str, fmt: str) -> BipartiteGraph:
     if source == "figure1":
         return figure1()
     try:
-        return parse_graph(Path(source).read_text(), fmt)
+        return parse_graph(Path(source).read_text(encoding="utf-8"), fmt)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
 
@@ -121,7 +121,7 @@ def cmd_verify(args) -> int:
     print(f"graph: m={graph.m} n={graph.n} d={graph.d}")
     print(f"gamma: {cert.gamma}  alpha: {cert.alpha}")
     if cert.violation is not None:
-        print("violation: " + cert.violation.describe(graph.m))
+        print("violation: " + cert.describe())
     return 0
 
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # load_graph reports a failed read as a ParseError
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         # Buffered output would fail again at exit; the null device takes it.
-        with open(os.devnull, "w") as null:
+        with open(os.devnull, "wb") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
         return 1
     except (ValueError, IndexError, TypeError, CapabilityError) as exc:

@@ -150,48 +150,25 @@ class BipartiteGraph:
 
 
 @dataclass(frozen=True)
-class ExpansionViolation:
-    """Concrete counterexample to |N(S)| >= d*alpha*|S|."""
-
-    subset: RightSubset
-    neighbor_count: int
-    required: Fraction
-
-    def to_record(self, m: int) -> dict:
-        return {
-            **self.subset.to_record(m),
-            "neighbors": self.neighbor_count,
-            "required": str(self.required),
-        }
-
-    def describe(self, m: int) -> str:
-        """The counterexample as one sentence, naming the subset by indices
-        and by labels (see ``RightSubset.to_record``)."""
-        rec = self.subset.to_record(m)
-        return (
-            f"subset {' '.join(map(str, rec['indices']))} "
-            f"(labels {' '.join(map(str, rec['labels']))}) has {self.neighbor_count} "
-            f"neighbors, needs at least {self.required}"
-        )
-
-
-@dataclass(frozen=True)
 class ExpanderCertificate:
     """Outcome of exhaustively checking the expansion inequality on one graph.
 
-    When ``verified`` no nonempty subset of size <= size_cap(gamma, n) violates
-    |N(S)| >= d*alpha*|S|; otherwise ``violation`` is the first
-    counterexample in (cardinality, lex) enumeration order.
+    ``violation`` is the first subset in (cardinality, lex) enumeration
+    order with |N(S)| < d*alpha*|S|, or None when no nonempty subset of
+    size <= size_cap(gamma, n) has one; the certificate is then verified.
     """
 
     graph: BipartiteGraph
     gamma: Fraction
     alpha: Fraction
-    verified: bool
-    violation: ExpansionViolation | None
+    violation: RightSubset | None
+
+    @property
+    def verified(self) -> bool:
+        return self.violation is None
 
     def to_record(self) -> dict:
-        g = self.graph
+        g, v = self.graph, self.violation
         return {
             "m": g.m,
             "n": g.n,
@@ -199,18 +176,32 @@ class ExpanderCertificate:
             "gamma": str(self.gamma),
             "alpha": str(self.alpha),
             "verified": self.verified,
-            "violation": None if self.violation is None else self.violation.to_record(g.m),
+            "violation": None if v is None else {
+                **v.to_record(g.m),
+                "neighbors": len(g.neighbor_set(v)),
+                "required": str(g.d * self.alpha * len(v)),
+            },
         }
 
-    def require(
-        self, gamma: Fraction, epsilon: Fraction, graph: BipartiteGraph | None = None
-    ) -> None:
+    def describe(self) -> str:
+        """The counterexample as one sentence, naming the subset by indices
+        and by labels (see ``RightSubset.to_record``); ValueError when the
+        certificate is verified and has none."""
+        rec = self.to_record()["violation"]
+        if rec is None:
+            raise ValueError("a verified certificate has no counterexample")
+        return (
+            f"subset {' '.join(map(str, rec['indices']))} "
+            f"(labels {' '.join(map(str, rec['labels']))}) has {rec['neighbors']} "
+            f"neighbors, needs at least {rec['required']}"
+        )
+
+    def require(self, gamma: Fraction, epsilon: Fraction, graph: BipartiteGraph) -> None:
         """Refuse with ValueError unless this certificate is verified for
-        gamma and alpha = 1 - epsilon and, when ``graph`` is given, was
-        issued for that graph."""
+        ``graph``, gamma and alpha = 1 - epsilon."""
         if not self.verified:
             raise ValueError("expected a verified expansion certificate")
-        if graph is not None and self.graph != graph:
+        if self.graph != graph:
             raise ValueError("the certificate was issued for a different graph")
         if self.gamma != gamma:
             raise ValueError(f"certificate gamma {self.gamma} does not match {gamma}")
@@ -282,13 +273,8 @@ def check_expansion(
         return scan_union_below(graph._masks, range(n), k, math.ceil(d * alpha * k))
 
     hit, _ = first_hit_by_level(scan, n, 1, cap, budget)
-    if hit is None:
-        return ExpanderCertificate(graph, gamma, alpha, True, None)
-    subset = RightSubset.of(n, hit)
-    violation = ExpansionViolation(
-        subset, len(graph.neighbor_set(subset)), d * alpha * len(hit)
-    )
-    return ExpanderCertificate(graph, gamma, alpha, False, violation)
+    violation = None if hit is None else RightSubset.of(n, hit)
+    return ExpanderCertificate(graph, gamma, alpha, violation)
 
 
 def expansion_profile(

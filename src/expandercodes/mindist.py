@@ -24,13 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import Gf2Matrix, nullspace_basis, xor_columns
+from .gf2 import Gf2Matrix, nullspace_basis, rank, xor_columns
 from .graph import (
     BipartiteGraph,
     ExpanderCertificate,
     check_expansion,
     exact_epsilon,
-    exact_rational,
     size_cap,
 )
 from .subsets import (
@@ -38,6 +37,7 @@ from .subsets import (
     RightSubset,
     XorZeroLevels,
     charge,
+    count_sizes,
     first_hit_by_level,
 )
 
@@ -65,7 +65,8 @@ INFINITE = _InfiniteDistance()
 
 @dataclass(frozen=True)
 class MinDistanceResult:
-    """Distance plus a witness subset whose odd neighborhood is empty.
+    """A witness subset whose odd neighborhood is empty, or None for the
+    trivial code; ``distance`` is its size, INFINITE without one.
 
     ``examined`` is, for the kernel method, the 2^k - 1 nonzero codewords
     decided, walked or bounded out; for the subset searches, the subsets in
@@ -73,11 +74,14 @@ class MinDistanceResult:
     certified size bound for the pruned method, else None.
     """
 
-    distance: int | _InfiniteDistance
     witness: RightSubset | None
     method: str
     examined: int
     threshold: Fraction | None = None
+
+    @property
+    def distance(self) -> int | _InfiniteDistance:
+        return INFINITE if self.witness is None else len(self.witness)
 
     @property
     def is_infinite(self) -> bool:
@@ -95,24 +99,24 @@ class MinDistanceResult:
 
 @dataclass(frozen=True)
 class PruningParams:
-    """Certified inputs for the pruned search.
+    """Certified input for the pruned search: an expansion certificate,
+    whose gamma and alpha = 1 - epsilon the search reads.
 
-    Requires an epsilon that ``exact_epsilon`` admits and a certificate
-    verified for this gamma with alpha = 1 - epsilon; construction fails
-    otherwise so the pruned search can never run on an unproven expansion
-    claim.
+    ``min_distance_pruned`` refuses, before it walks any subset, a
+    certificate that is unverified, issued for another graph, or at an
+    alpha that ``exact_epsilon`` does not admit as 1 - epsilon, so the
+    pruned search never runs on an unproven expansion claim.
     """
 
-    gamma: Fraction
-    epsilon: Fraction
     certificate: ExpanderCertificate
 
-    def __post_init__(self):
-        gamma = exact_rational(self.gamma, "gamma")
-        epsilon = exact_epsilon(self.epsilon)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "epsilon", epsilon)
-        self.certificate.require(gamma, epsilon)
+    @property
+    def gamma(self) -> Fraction:
+        return self.certificate.gamma
+
+    @property
+    def epsilon(self) -> Fraction:
+        return 1 - self.certificate.alpha
 
     @classmethod
     def certify(
@@ -124,28 +128,28 @@ class PruningParams:
     ) -> "PruningParams":
         """Run the expansion check for (gamma, 1 - epsilon) and wrap it;
         refuse with the first counterexample if the graph does not expand."""
-        gamma = exact_rational(gamma, "gamma")
         epsilon = exact_epsilon(epsilon)
         cert = check_expansion(graph, gamma, 1 - epsilon, budget=budget)
         if not cert.verified:
             raise ValueError(
-                f"graph is not a (gamma={gamma}, alpha={1 - epsilon}) expander: "
-                + cert.violation.describe(graph.m)
+                f"graph is not a (gamma={cert.gamma}, alpha={cert.alpha}) expander: "
+                + cert.describe()
             )
-        return cls(gamma, epsilon, cert)
+        return cls(cert)
 
 
 def _search_by_size(graph, start_size, method, threshold, budget):
     n = graph.n
-    scan = XorZeroLevels(graph.biadjacency().columns)
+    matrix = graph.biadjacency()
+    if graph.m >= n and rank(matrix) == n:
+        # n independent columns (possible only when m >= n): no nonempty
+        # subset sums to zero, and the walk would end with every subset
+        # from start_size up examined.
+        return MinDistanceResult(None, method, count_sizes(n, start_size, n), threshold)
+    scan = XorZeroLevels(matrix.columns)
     hit, examined = first_hit_by_level(scan, n, start_size, n, budget)
-    return MinDistanceResult(
-        distance=INFINITE if hit is None else len(hit),
-        witness=None if hit is None else RightSubset.of(n, hit),
-        method=method,
-        examined=examined,
-        threshold=threshold,
-    )
+    witness = None if hit is None else RightSubset.of(n, hit)
+    return MinDistanceResult(witness, method, examined, threshold)
 
 
 def min_distance_subset(
@@ -157,7 +161,8 @@ def min_distance_subset(
     Enumerates by increasing cardinality, lexicographically within one
     cardinality, and stops at the first hit; the witness is therefore the
     lexicographically smallest among all minimum-size witnesses. INFINITE
-    when the biadjacency matrix has full column rank.
+    when the biadjacency matrix has full column rank, which its rank
+    settles with no walk.
 
     A level k below the distance is ruled out without a scan: it could
     hold a witness only if two disjoint subsets of sizes floor(k/2) and
@@ -196,7 +201,7 @@ def min_distance_kernel(
     basis = nullspace_basis(matrix)
     k = len(basis)
     if k == 0:
-        return MinDistanceResult(INFINITE, None, "kernel", 0)
+        return MinDistanceResult(None, "kernel", 0)
     vectors = [b.bits for b in basis]
     best_weight = math.inf
     best_bits = 0
@@ -226,12 +231,7 @@ def min_distance_kernel(
             break
         charge(k, 1, r, budget)
         walk(0, 0, r)
-    return MinDistanceResult(
-        distance=best_weight,
-        witness=RightSubset(matrix.cols, best_bits),
-        method="kernel",
-        examined=(1 << k) - 1,
-    )
+    return MinDistanceResult(RightSubset(matrix.cols, best_bits), "kernel", (1 << k) - 1)
 
 
 def min_distance_pruned(
@@ -285,7 +285,7 @@ def verify_distance_result(
         raise ValueError("verification requires a finite distance result")
     d = result.distance
     witness = result.witness
-    if witness is None or witness.n != matrix.cols or len(witness) != d:
+    if witness.n != matrix.cols:
         return False
     if xor_columns(matrix, witness) != 0:
         return False

@@ -37,7 +37,6 @@ def test_star_import_and_exports():
         "CapabilityError",
         "ExpanderCertificate",
         "ExpansionProfile",
-        "ExpansionViolation",
         "GenSpec",
         "Gf2Matrix",
         "INFINITE",
@@ -163,7 +162,7 @@ def test_mindist_pruned_half_integer_gamma_n(tmp_path, capsys):
     # gamma*n = 5/2: the graph certifies at (1/2, 2/3), the bound reads
     # size_cap = 2 and is 8/3, and the distance is 3.
     path = tmp_path / "half.edges"
-    path.write_text("7 5\n0 0\n2 0\n0 1\n1 1\n1 2\n2 2\n3 3\n4 3\n5 4\n6 4\n")
+    path.write_text("7 5\n0 0\n2 0\n0 1\n1 1\n1 2\n2 2\n3 3\n4 3\n5 4\n6 4\n", encoding="utf-8")
     status, out, _ = run(
         capsys, "mindist", str(path), "--method", "pruned",
         "--gamma", "1/2", "--epsilon", "1/3", "--json",
@@ -203,7 +202,8 @@ def test_mindist_kernel_json_high_dimension(tmp_path, capsys):
     # a dimension-20 code of distance 2: the full record, byte for byte;
     # examined counts all 2^20 - 1 nonzero codewords
     path = tmp_path / "highrate.edges"
-    path.write_text(serialize_graph(random_right_regular(GenSpec(8, 28, 3, seed=1))))
+    text = serialize_graph(random_right_regular(GenSpec(8, 28, 3, seed=1)))
+    path.write_text(text, encoding="utf-8")
     status, out, _ = run(capsys, "mindist", str(path), "--method", "kernel", "--json")
     assert status == 0
     assert out == (
@@ -214,7 +214,7 @@ def test_mindist_kernel_json_high_dimension(tmp_path, capsys):
 
 def test_verify_from_file(tmp_path, capsys):
     path = tmp_path / "demo.edges"
-    path.write_text(serialize_graph(figure1()))
+    path.write_text(serialize_graph(figure1()), encoding="utf-8")
     status, out, _ = run(capsys, "verify", str(path), "--gamma", "1/2", "--alpha", "2/3")
     assert status == 0
     assert out.splitlines()[0] == "verified"
@@ -293,7 +293,8 @@ def test_lemmas_json(tmp_path, capsys):
         '"subsets_checked": 15, "violation": null}}\n'
     )
     path = tmp_path / "seeded.edges"
-    path.write_text(serialize_graph(random_right_regular(GenSpec(8, 12, 3, seed=8))))
+    text = serialize_graph(random_right_regular(GenSpec(8, 12, 3, seed=8)))
+    path.write_text(text, encoding="utf-8")
     status, out, _ = run(
         capsys, "lemmas", str(path), "--gamma", "1/6", "--epsilon", "1/3", "--json"
     )
@@ -316,7 +317,8 @@ def test_lemmas_settles_bounds_without_sweep(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr("expandercodes.graph._unions_below", no_walk)
     path = tmp_path / "seeded.edges"
-    path.write_text(serialize_graph(random_right_regular(GenSpec(8, 12, 3, seed=8))))
+    text = serialize_graph(random_right_regular(GenSpec(8, 12, 3, seed=8)))
+    path.write_text(text, encoding="utf-8")
     for graph, gamma, size_cap, checked in (("figure1", "1/2", 2, 10),
                                             (str(path), "1/6", 2, 78)):
         status, out, _ = run(
@@ -357,7 +359,7 @@ def test_mindist_reads_matrix_files(tmp_path, capsys):
         status, out, _ = run(capsys, *gen, "--format", fmt)
         assert status == 0
         paths[fmt] = tmp_path / f"seeded.{fmt}"
-        paths[fmt].write_text(out)
+        paths[fmt].write_text(out, encoding="utf-8")
     for method in ([], ["--method", "kernel"]):
         edge_route = run(capsys, "mindist", str(paths["edge-list"]), *method, "--json")
         matrix_route = run(
@@ -414,18 +416,39 @@ def test_missing_file_is_exit_two(capsys, tmp_path, content, fmt):
     assert err.startswith("error: cannot read input: ")
 
 
+# Text I/O that falls back on the locale's encoding is an error under these
+# interpreter flags.
+STRICT_ENCODING = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+
+
+def test_graph_files_are_read_as_utf8(tmp_path):
+    # Whatever the locale, a graph file is decoded as UTF-8: a valid one is
+    # read, and one that is not UTF-8 still cannot be.
+    path = tmp_path / "demo.edges"
+    path.write_text("# d\u00e9mo\n" + serialize_graph(figure1()), encoding="utf-8")
+    status, out, err = _run_fresh(["mindist", str(path)], STRICT_ENCODING)
+    assert (status, err) == (0, "")
+    assert "distance: 3" in out.splitlines()
+    path.write_bytes(b"\xff\xfe\n")
+    status, out, err = _run_fresh(["mindist", str(path)], STRICT_ENCODING)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: cannot read input: ")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_unwritable_output_is_exit_one():
     # Every write to /dev/full fails with ENOSPC: that is an output error,
-    # exit 1, not an input one, and nothing escapes to a traceback at exit.
+    # exit 1, not an input one, and nothing escapes to a traceback at exit,
+    # nor from the null device that takes the buffered output.
     # Buffered, as stdout is by default, the output is first written at the
     # flush in main.
     env = dict(os.environ, PYTHONPATH=str(Path(expandercodes.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
-    with open("/dev/full", "w") as full:
+    with open("/dev/full", "w", encoding="utf-8") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "expandercodes.cli", "mindist", "figure1", "--json"],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            [sys.executable, *STRICT_ENCODING, "-m", "expandercodes.cli",
+             "mindist", "figure1", "--json"],
+            stdout=full, stderr=subprocess.PIPE, encoding="utf-8", env=env, timeout=60,
         )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot write output: ")
@@ -436,7 +459,7 @@ def test_profile_refuses_degree_zero(tmp_path):
     # No edges, so d = 0 and best_alpha has no ratio to take: a refusal
     # with check_expansion's message, not a ZeroDivisionError.
     path = tmp_path / "edgeless.edges"
-    path.write_text("0 3\n")
+    path.write_text("0 3\n", encoding="utf-8")
     status, _, err = _run_fresh(["profile", str(path), "--gamma", "1/3"])
     assert status == 1
     assert err == "error: expansion checking requires a right-regular graph with d >= 1\n"
@@ -444,7 +467,7 @@ def test_profile_refuses_degree_zero(tmp_path):
 
 def test_malformed_file_is_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.edges"
-    path.write_text("2 2\n0 0\n0 0\n")
+    path.write_text("2 2\n0 0\n0 0\n", encoding="utf-8")
     status, _, err = run(capsys, "mindist", str(path))
     assert status == 2
     assert "duplicate edge" in err
@@ -485,11 +508,11 @@ def _run_in_process(capsys, argv):
     return status, captured.out, captured.err
 
 
-def _run_fresh(argv):
+def _run_fresh(argv, flags=()):
     env = dict(os.environ, PYTHONPATH=str(Path(expandercodes.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "expandercodes.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *flags, "-m", "expandercodes.cli", *argv],
+        capture_output=True, encoding="utf-8", env=env, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -1,6 +1,7 @@
 """Graph layer: neighborhoods, the odd-neighborhood operator, and
 exhaustive expansion verification."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -87,10 +88,10 @@ def test_check_expansion_verified():
 def test_check_expansion_singleton_counterexample():
     cert = check_expansion(G, HALF, Fraction(101, 100))
     assert not cert.verified
-    v = cert.violation
-    assert v.subset == sub(0)  # first in enumeration order
-    assert v.neighbor_count == 2
-    assert v.required == 2 * Fraction(101, 100)
+    assert cert.violation == sub(0)  # first in enumeration order
+    rec = cert.to_record()["violation"]
+    assert rec["neighbors"] == 2
+    assert rec["required"] == str(2 * Fraction(101, 100))
 
 
 def test_check_expansion_vacuous_when_cap_zero():
@@ -117,9 +118,10 @@ def test_check_expansion_first_counterexample_at_pair_level():
     twin = BipartiteGraph(4, 3, ((0, 1), (0, 1), (2, 3)))
     cert = check_expansion(twin, 1, 1)
     assert not cert.verified
-    assert cert.violation.subset == RightSubset.of(3, (0, 1))
-    assert cert.violation.neighbor_count == 2
-    assert cert.violation.required == 4
+    assert cert.violation == RightSubset.of(3, (0, 1))
+    rec = cert.to_record()["violation"]
+    assert rec["neighbors"] == 2
+    assert rec["required"] == "4"
 
 
 def test_check_expansion_budget():
@@ -201,6 +203,14 @@ def test_find_bounds_violation_reports_first():
     subset, lower, mid, upper = sweep.violation
     assert subset == RightSubset.of(3, (0, 1))
     assert mid == 0 and upper == 2 and lower == 3
+    # figure 1 at gamma 1: its minimum-weight codeword {0, 2, 3} has an
+    # empty odd neighborhood against the lower bound 2*(1-2/4)*3 = 3
+    record = find_bounds_violation(G, 1, Fraction(1, 4)).to_record(G.m)
+    assert json.dumps(record, sort_keys=True) == (
+        '{"epsilon": "1/4", "gamma": "1", "size_cap": 4, "subsets_checked": 13, '
+        '"violation": {"indices": [0, 2, 3], "labels": [6, 8, 9], "lower": "3", '
+        '"neighborhood": 3, "odd_neighborhood": 0}}'
+    )
 
 
 def test_find_bounds_violation_fractional_lower():

@@ -72,6 +72,12 @@ def test_matrix_text_errors():
         parse_matrix("1 2\n1 2\n")
     with pytest.raises(ParseError, match="expected 2 matrix rows"):
         parse_matrix("2 2\n1 0\n")
+    with pytest.raises(ParseError, match="line 1: expected header 'rows cols'"):
+        parse_matrix("r c\n")
+    with pytest.raises(ParseError, match="line 1: dimensions must be >= 0"):
+        parse_matrix("2 -1\n")
+    with pytest.raises(ParseError, match=r"line 3: unexpected extra row \(expected 1\)"):
+        parse_matrix("1 2\n1 0\n0 1\n")
 
 
 def test_round_trip_both_formats():
@@ -148,6 +154,13 @@ def test_parse_errors_are_line_numbered():
         parse_edge_list("2 2\n9 0\n")
     with pytest.raises(ParseError, match="line 2: right index 5"):
         parse_edge_list("2 2\n0 5\n")
+    with pytest.raises(ParseError, match="line 1: expected header 'm n'"):
+        parse_edge_list("a 4\n")
+    with pytest.raises(ParseError, match="line 1: vertex counts must be >= 0"):
+        parse_edge_list("-1 4\n")
+    for edge in ("0", "0 1 1", "x 0"):
+        with pytest.raises(ParseError, match="line 2: expected edge 'left right'"):
+            parse_edge_list(f"2 2\n{edge}\n")
     with pytest.raises(ValueError, match="unknown graph format"):
         parse_graph("1 1\n", "csv")
 

@@ -26,6 +26,7 @@ from expandercodes import (
     random_right_regular,
     verify_distance_result,
 )
+from expandercodes.subsets import DEFAULT_SUBSET_BUDGET, XorZeroLevels, first_hit_by_level
 
 G = figure1()
 B = G.biadjacency()
@@ -158,14 +159,39 @@ def test_subset_isolated_right_vertex():
 
 
 def test_subset_infinite():
-    # Full column rank: every level up to k = n is searched and comes up
-    # empty; at n = 20 that includes levels where the split falls to t = 0.
+    # Full column rank: the walk searches every level up to k = n and
+    # comes up empty; at n = 20 that includes levels where the split falls
+    # to t = 0. The search answers from the rank with the walk's count.
     for n in (5, 20):
         graph = BipartiteGraph(n, n, tuple((j,) for j in range(n)))
+        scan = XorZeroLevels(graph.biadjacency().columns)
+        walked = first_hit_by_level(scan, n, 1, n, DEFAULT_SUBSET_BUDGET)
+        assert walked == (None, 2**n - 1)
         result = min_distance_subset(graph)
         assert result.distance is INFINITE
         assert result.witness is None
         assert result.examined == 2**n - 1
+
+
+def test_full_rank_code_is_answered_from_its_rank(monkeypatch):
+    # No nonempty set of independent columns sums to zero, so the rank
+    # answers INFINITE with the count a walk reports, walking and charging
+    # nothing: the 2^48 - 1 subsets here are far over any budget.
+    disjoint = BipartiteGraph(16, 8, tuple((2 * j, 2 * j + 1) for j in range(8)))
+    params = PruningParams.certify(disjoint, Fraction(1, 4), Fraction(1, 3))
+    wide = random_right_regular(GenSpec(96, 48, 4, seed=1))
+    walked = []
+    monkeypatch.setattr(
+        "expandercodes.mindist.first_hit_by_level", lambda *args: walked.append(args)
+    )
+    result = min_distance_subset(disjoint, budget=0)
+    assert (result.witness, result.method, result.examined) == (None, "subset", 255)
+    # sizes 3..8, from the threshold 2*(2/3)*2 = 8/3: 256 - 1 - 8 - 28 subsets
+    result = min_distance_pruned(disjoint, params)
+    assert (result.witness, result.examined, result.threshold) == (None, 219, Fraction(8, 3))
+    result = min_distance_subset(wide)
+    assert (result.distance, result.examined) == (INFINITE, 2**48 - 1)
+    assert walked == []
 
 
 def test_subset_path_code_distance_n():
@@ -225,7 +251,7 @@ def test_pruned_demo_tight_alpha_integer_threshold():
     assert result.witness == WITNESS
 
 
-def test_pruned_preconditions():
+def test_pruned_preconditions(monkeypatch):
     with pytest.raises(ValueError, match="epsilon"):
         PruningParams.certify(G, HALF, Fraction(1, 2))
     with pytest.raises(ValueError, match="epsilon"):
@@ -233,15 +259,24 @@ def test_pruned_preconditions():
     with pytest.raises(ValueError, match="expander"):
         PruningParams.certify(G, HALF, Fraction(1, 5))  # alpha 4/5 > 3/4 fails
     cert = check_expansion(G, HALF, Fraction(2, 3))
-    unverified = check_expansion(G, HALF, Fraction(101, 100))
-    with pytest.raises(ValueError, match="verified"):
-        PruningParams(HALF, Fraction(1, 3), unverified)
-    with pytest.raises(ValueError, match="alpha"):
-        PruningParams(HALF, Fraction(1, 4), cert)
-    params = PruningParams(HALF, Fraction(1, 3), cert)
+    params = PruningParams(cert)
+    assert (params.gamma, params.epsilon) == (HALF, Fraction(1, 3))
     other = BipartiteGraph(5, 4, ((0, 1), (3, 4), (1, 2), (0, 1)))
-    with pytest.raises(ValueError, match="different graph"):
-        min_distance_pruned(other, params)
+    refused = [
+        (G, check_expansion(G, HALF, Fraction(101, 100)), "verified"),
+        (other, cert, "different graph"),
+        # verified, at an alpha that is 1 - epsilon for no epsilon in (0, 1/2)
+        (G, check_expansion(G, HALF, HALF), "epsilon must satisfy"),
+        (G, check_expansion(G, Fraction(1, 4), 1), "epsilon must be > 0"),
+    ]
+    walked = []
+    monkeypatch.setattr(
+        "expandercodes.mindist.first_hit_by_level", lambda *args: walked.append(args)
+    )
+    for graph, certificate, message in refused:
+        with pytest.raises(ValueError, match=message):
+            min_distance_pruned(graph, PruningParams(certificate))
+    assert walked == []
 
 
 # A 7x5 graph with gamma*n = 5/2 that certifies at (1/2, 2/3) and has
@@ -260,7 +295,7 @@ def test_half_integer_gamma_n_bound_is_sound():
     assert unpruned.witness == RightSubset.of(5, (0, 1, 2))
     bound = distance_lower_bound(HALF, Fraction(1, 3), 5)
     assert bound == Fraction(8, 3) <= unpruned.distance
-    pruned = min_distance_pruned(HALF_INTEGER, PruningParams(HALF, Fraction(1, 3), cert))
+    pruned = min_distance_pruned(HALF_INTEGER, PruningParams(cert))
     assert (pruned.distance, pruned.witness, pruned.threshold) == (3, unpruned.witness, bound)
     assert pruned.examined == 1
 
@@ -301,9 +336,9 @@ def test_verify_distance_result_duplicate_columns():
 
 def test_verify_distance_result_rejects_corruption():
     good = min_distance_subset(G)
-    too_large = MinDistanceResult(4, RightSubset(4, 0b1111), "subset", good.examined)
+    too_large = MinDistanceResult(RightSubset(4, 0b1111), "subset", good.examined)
     assert verify_distance_result(B, too_large) is False
-    wrong_witness = MinDistanceResult(3, RightSubset.of(4, (0, 1, 2)), "subset", 1)
+    wrong_witness = MinDistanceResult(RightSubset.of(4, (0, 1, 2)), "subset", 1)
     assert verify_distance_result(B, wrong_witness) is False
     with pytest.raises(ValueError):
         verify_distance_result(B, min_distance_kernel(Gf2Matrix(3, 3, (1, 2, 4))))
