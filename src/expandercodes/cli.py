@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each command but ``gen``, which writes a graph, returns one JSON record and
+prints nothing; ``main`` prints the record as ``--json`` or as the lines of
+``_<command>_lines``, a function of the record alone.
+
 Exit status: 0 on success, 1 on domain/precondition/capability errors and
 unwritable output, 2 on parse and usage errors and unreadable input. Rational
 options are written unsigned, as "p/q" or as integers; floats and signs
@@ -24,6 +28,7 @@ from .graph import (
     find_bounds_violation,
     find_partition_violation,
     size_cap,
+    _violation_sentence,
 )
 from .instances import (
     FORMATS,
@@ -70,17 +75,13 @@ def load_graph(source: str, fmt: str) -> BipartiteGraph:
     if source == "figure1":
         return figure1()
     try:
-        return parse_graph(Path(source).read_text(encoding="utf-8"), fmt)
+        # utf-8-sig drops the byte-order mark some editors write first.
+        return parse_graph(Path(source).read_text(encoding="utf-8-sig"), fmt)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
 
 
-def _print_record(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
-
-
-def _witness_lines(result, m: int) -> list[str]:
-    rec = result.to_record(m)
+def _mindist_lines(rec: dict) -> list[str]:
     lines = [f"method: {rec['method']}"]
     if rec["threshold"] is not None:
         lines.append(f"threshold: {rec['threshold']}")
@@ -92,7 +93,40 @@ def _witness_lines(result, m: int) -> list[str]:
     return lines
 
 
-def cmd_mindist(args) -> int:
+def _verify_lines(rec: dict) -> list[str]:
+    lines = [
+        "verified" if rec["verified"] else "not verified",
+        f"graph: m={rec['m']} n={rec['n']} d={rec['d']}",
+        f"gamma: {rec['gamma']}  alpha: {rec['alpha']}",
+    ]
+    if rec["violation"] is not None:
+        lines.append("violation: " + _violation_sentence(rec["violation"]))
+    return lines
+
+
+def _profile_lines(rec: dict) -> list[str]:
+    lines = [f"min_neighbors[{s}] = {count}" for s, count in enumerate(rec["min_neighbors"], 1)]
+    if rec["gamma"] is not None:
+        lines.append(f"best_alpha({rec['gamma']}) = {rec['best_alpha']}")
+    return lines
+
+
+def _lemmas_lines(rec: dict) -> list[str]:
+    cert, bounds, partition = rec["certificate"], rec["bounds"], rec["partition"]
+    return [
+        f"certificate: verified (gamma={cert['gamma']}, alpha={cert['alpha']})",
+        f"odd-neighborhood bounds: all hold "
+        f"({bounds['subsets_checked']} subsets up to size {bounds['size_cap']})",
+        f"partition property: all hold ({partition['empty_odd_found']} "
+        f"empty-odd subsets, {partition['partitions_checked']} bipartitions)",
+    ]
+
+
+def _bound_lines(rec: dict) -> list[str]:
+    return [rec["bound"]]
+
+
+def cmd_mindist(args) -> dict:
     graph = load_graph(args.graph, args.format)
     if args.method == "kernel":
         result = min_distance_kernel(graph.biadjacency())
@@ -101,31 +135,16 @@ def cmd_mindist(args) -> int:
     else:
         if args.gamma is None or args.epsilon is None:
             args.parser.error("--method pruned requires --gamma and --epsilon")
-        params = PruningParams.certify(graph, args.gamma, args.epsilon)
-        result = min_distance_pruned(graph, params)
-    if args.json:
-        _print_record(result.to_record(graph.m))
-    else:
-        for line in _witness_lines(result, graph.m):
-            print(line)
-    return 0
+        result = min_distance_pruned(graph, PruningParams.certify(graph, args.gamma, args.epsilon))
+    return result.to_record(graph.m)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     graph = load_graph(args.graph, args.format)
-    cert = check_expansion(graph, args.gamma, args.alpha)
-    if args.json:
-        _print_record(cert.to_record())
-        return 0
-    print("verified" if cert.verified else "not verified")
-    print(f"graph: m={graph.m} n={graph.n} d={graph.d}")
-    print(f"gamma: {cert.gamma}  alpha: {cert.alpha}")
-    if cert.violation is not None:
-        print("violation: " + cert.describe())
-    return 0
+    return check_expansion(graph, args.gamma, args.alpha).to_record()
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> dict:
     graph = load_graph(args.graph, args.format)
     if args.max_size is not None:
         s_max = args.max_size
@@ -135,67 +154,34 @@ def cmd_profile(args) -> int:
         s_max = graph.n
     profile = expansion_profile(graph, s_max)
     best = profile.best_alpha(args.gamma) if args.gamma is not None else None
-    if args.json:
-        record = profile.to_record()
-        record["gamma"] = None if args.gamma is None else str(args.gamma)
-        record["best_alpha"] = None if best is None else str(best)
-        _print_record(record)
-        return 0
-    for size in range(1, profile.s_max + 1):
-        print(f"min_neighbors[{size}] = {profile.min_at(size)}")
-    if args.gamma is not None:
-        print(f"best_alpha({args.gamma}) = {best}")
-    return 0
+    return {
+        **profile.to_record(),
+        "gamma": None if args.gamma is None else str(args.gamma),
+        "best_alpha": None if best is None else str(best),
+    }
 
 
-def cmd_bound(args) -> int:
-    value = distance_lower_bound(args.gamma, args.epsilon, args.n)
-    if args.json:
-        _print_record(
-            {
-                "gamma": str(args.gamma),
-                "epsilon": str(args.epsilon),
-                "n": args.n,
-                "bound": str(value),
-            }
-        )
-    else:
-        print(value)
-    return 0
+def cmd_bound(args) -> dict:
+    bound = distance_lower_bound(args.gamma, args.epsilon, args.n)
+    return {"gamma": str(args.gamma), "epsilon": str(args.epsilon), "n": args.n,
+            "bound": str(bound)}
 
 
-def cmd_gen(args) -> int:
-    spec = GenSpec(m=args.m, n=args.n, d=args.d, seed=args.seed)
-    graph = random_right_regular(spec)
+def cmd_gen(args) -> None:
+    graph = random_right_regular(GenSpec(m=args.m, n=args.n, d=args.d, seed=args.seed))
     sys.stdout.write(serialize_graph(graph, args.format))
-    return 0
 
 
-def cmd_lemmas(args) -> int:
+def cmd_lemmas(args) -> dict:
     graph = load_graph(args.graph, args.format)
     cert = PruningParams.certify(graph, args.gamma, args.epsilon).certificate
     # The verified certificate settles the bounds with no sweep.
     bounds = find_bounds_violation(graph, args.gamma, args.epsilon, certificate=cert)
-    partition = find_partition_violation(graph)
-    if args.json:
-        _print_record(
-            {
-                "certificate": cert.to_record(),
-                "bounds": bounds.to_record(graph.m),
-                "partition": partition.to_record(),
-            }
-        )
-    else:
-        print(f"certificate: verified (gamma={cert.gamma}, alpha={cert.alpha})")
-        print(
-            f"odd-neighborhood bounds: all hold "
-            f"({bounds.subsets_checked} subsets up to size {bounds.size_cap})"
-        )
-        print(
-            f"partition property: all hold ({partition.empty_odd_found} "
-            f"empty-odd subsets, {partition.partitions_checked} bipartitions)"
-        )
-    return 0
+    return {
+        "certificate": cert.to_record(),
+        "bounds": bounds.to_record(graph.m),
+        "partition": find_partition_violation(graph).to_record(),
+    }
 
 
 _parser = None
@@ -275,9 +261,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # Resolved per call, so a rebinding of a cmd_* function is used.
-        status = globals()[f"cmd_{args.command}"](args)
+        record = globals()[f"cmd_{args.command}"](args)
+        if record is not None:  # gen writes its graph itself
+            if args.json:
+                print(json.dumps(record, sort_keys=True))
+            else:
+                for line in globals()[f"_{args.command}_lines"](record):
+                    print(line)
         sys.stdout.flush()  # fail here, inside the handler, not at exit
-        return status
+        return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -149,6 +149,16 @@ class BipartiteGraph:
             )
 
 
+def _violation_sentence(rec: dict) -> str:
+    """A certificate record's ``"violation"`` as one sentence, naming the
+    subset by indices and by labels (see ``RightSubset.to_record``)."""
+    return (
+        f"subset {' '.join(map(str, rec['indices']))} "
+        f"(labels {' '.join(map(str, rec['labels']))}) has {rec['neighbors']} "
+        f"neighbors, needs at least {rec['required']}"
+    )
+
+
 @dataclass(frozen=True)
 class ExpanderCertificate:
     """Outcome of exhaustively checking the expansion inequality on one graph.
@@ -184,17 +194,12 @@ class ExpanderCertificate:
         }
 
     def describe(self) -> str:
-        """The counterexample as one sentence, naming the subset by indices
-        and by labels (see ``RightSubset.to_record``); ValueError when the
-        certificate is verified and has none."""
+        """The counterexample as one sentence (``_violation_sentence``);
+        ValueError when the certificate is verified and has none."""
         rec = self.to_record()["violation"]
         if rec is None:
             raise ValueError("a verified certificate has no counterexample")
-        return (
-            f"subset {' '.join(map(str, rec['indices']))} "
-            f"(labels {' '.join(map(str, rec['labels']))}) has {rec['neighbors']} "
-            f"neighbors, needs at least {rec['required']}"
-        )
+        return _violation_sentence(rec)
 
     def require(self, gamma: Fraction, epsilon: Fraction, graph: BipartiteGraph) -> None:
         """Refuse with ValueError unless this certificate is verified for

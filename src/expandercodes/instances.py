@@ -12,6 +12,7 @@ does not depend on the interpreter's own RNG.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -121,16 +122,17 @@ def parse_graph(text: str, fmt: str = EDGE_LIST) -> BipartiteGraph:
 
 
 def serialize_edge_list(graph: BipartiteGraph) -> str:
-    """Canonical edge-list form: header then edges sorted by (left, right)."""
-    buckets: list[list[str]] = [[] for _ in range(graph.m)]
+    """Canonical edge-list form: header then edges sorted by (left, right);
+    only left vertices with edges get a bucket, so the cost grows with the edges."""
+    buckets: defaultdict[int, list[str]] = defaultdict(list)
     for right, neigh in enumerate(graph.right_adj):
         label = str(right)
         for left in neigh:
             buckets[left].append(label)
     lines = [f"{graph.m} {graph.n}"]
-    for left, rights in enumerate(buckets):
+    for left in sorted(buckets):
         prefix = f"{left} "
-        lines.extend([prefix + right for right in rights])
+        lines.append(prefix + f"\n{prefix}".join(buckets[left]))
     return "\n".join(lines) + "\n"
 
 

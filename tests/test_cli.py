@@ -79,6 +79,45 @@ def test_bound_prints_exact_rational(capsys):
     assert out == "8/3\n"
 
 
+PRUNED = ("--method", "pruned", "--gamma", "1/2", "--epsilon", "1/3")
+WITNESS_LINES = "distance: 3\nwitness (indices): 0 2 3\nwitness (labels): 6 8 9\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["mindist", "figure1", "--method", "subset"],
+         "method: subset\n" + WITNESS_LINES + "examined: 13\n"),
+        (["mindist", "figure1", "--method", "kernel"],
+         "method: kernel\n" + WITNESS_LINES + "examined: 1\n"),
+        (["mindist", "figure1", *PRUNED],
+         "method: pruned\nthreshold: 8/3\n" + WITNESS_LINES + "examined: 3\n"),
+        (["verify", "figure1", "--gamma", "1/2", "--alpha", "2/3"],
+         "verified\ngraph: m=5 n=4 d=2\ngamma: 1/2  alpha: 2/3\n"),
+        (["verify", "figure1", "--gamma", "1/2", "--alpha", "9/10"],
+         "not verified\ngraph: m=5 n=4 d=2\ngamma: 1/2  alpha: 9/10\n"
+         "violation: subset 0 2 (labels 6 8) has 3 neighbors, needs at least 18/5\n"),
+        (["profile", "figure1", "--gamma", "1/2"],
+         "min_neighbors[1] = 2\nmin_neighbors[2] = 3\nbest_alpha(1/2) = 3/4\n"),
+        (["profile", "figure1", "--gamma", "1/8"], "best_alpha(1/8) = None\n"),
+        (["profile", "figure1"],
+         "min_neighbors[1] = 2\nmin_neighbors[2] = 3\nmin_neighbors[3] = 3\n"
+         "min_neighbors[4] = 5\n"),
+        (["bound", "--gamma", "1/2", "--epsilon", "1/3", "--n", "4"], "8/3\n"),
+        (["lemmas", "figure1", "--gamma", "1/2", "--epsilon", "1/3"],
+         "certificate: verified (gamma=1/2, alpha=2/3)\n"
+         "odd-neighborhood bounds: all hold (10 subsets up to size 2)\n"
+         "partition property: all hold (1 empty-odd subsets, 3 bipartitions)\n"),
+    ],
+    ids=["mindist-subset", "mindist-kernel", "mindist-pruned", "verify-verified",
+         "verify-violation", "profile-gamma", "profile-empty-cap", "profile-all-sizes",
+         "bound", "lemmas"],
+)
+def test_text_output_is_pinned(capsys, argv, out):
+    # Every command's text output on figure 1, byte for byte.
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def test_bound_rejects_bad_epsilon(capsys):
     status, _, err = run(capsys, "bound", "--gamma", "1/2", "--epsilon", "1/2", "--n", "4")
     assert status == 1
@@ -435,6 +474,19 @@ def test_graph_files_are_read_as_utf8(tmp_path):
     assert err.startswith("error: cannot read input: ")
 
 
+@pytest.mark.parametrize("fmt", ["edge-list", "matrix"])
+def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, fmt):
+    # Some editors start a UTF-8 file with the mark EF BB BF; it is not part
+    # of the header.
+    text = serialize_graph(random_right_regular(GenSpec(5, 8, 2, seed=7)), fmt)
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    expected = run(capsys, "mindist", str(plain), "--format", fmt, "--json")
+    assert expected[0] == 0
+    assert run(capsys, "mindist", str(marked), "--format", fmt, "--json") == expected
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_unwritable_output_is_exit_one():
     # Every write to /dev/full fails with ENOSPC: that is an output error,
@@ -491,11 +543,12 @@ def test_parser_built_once_and_names_bound_per_call(monkeypatch, capsys):
 
     def fake_verify(args):
         calls.append((args.gamma, args.alpha))
-        return 5
+        return {"fake": str(args.gamma)}
 
     monkeypatch.setattr(cli, "rational", fake_rational)
     monkeypatch.setattr(cli, "cmd_verify", fake_verify)
-    assert main(["verify", "figure1", "--gamma", "1/2", "--alpha", "2/3"]) == 5
+    status, out, _ = run(capsys, "verify", "figure1", "--gamma", "1/2", "--alpha", "2/3", "--json")
+    assert (status, out) == (0, '{"fake": "7/9"}\n')
     assert calls == ["1/2", "2/3", (Fraction(7, 9), Fraction(7, 9))]
 
 

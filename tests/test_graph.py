@@ -14,6 +14,7 @@ from expandercodes import (
     BipartiteGraph,
     CapabilityError,
     GenSpec,
+    Gf2Matrix,
     RightSubset,
     check_expansion,
     expansion_profile,
@@ -26,6 +27,7 @@ from expandercodes import (
     serialize_graph,
     xor_columns,
 )
+from expandercodes.graph import exact_rational
 from expandercodes.subsets import bit_indices
 
 G = figure1()
@@ -37,6 +39,8 @@ CERT = check_expansion(G, HALF, Fraction(2, 3))
 UNVERIFIED = check_expansion(G, HALF, Fraction(101, 100))
 # Right-regular like figure 1, with the same shape and different edges.
 OTHER = BipartiteGraph(5, 4, ((0, 1), (3, 4), (1, 2), (0, 1)))
+# Right degrees 1 and 2: no uniform d.
+IRREGULAR = BipartiteGraph(2, 2, ((0,), (0, 1)))
 
 
 def sub(*idx):
@@ -310,40 +314,64 @@ def test_bounds_sweep_matches_brute_force_oracle():
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        (lambda: find_bounds_violation(G, 0, Fraction(1, 4)), "gamma must be > 0"),
-        (lambda: find_bounds_violation(G, -1, Fraction(1, 4)), "gamma must be > 0"),
-        (lambda: find_bounds_violation(G, HALF, HALF), "0 < epsilon < 1/2"),
-        (lambda: expansion_profile(G, 2).best_alpha(0), "gamma must be > 0"),
+        (lambda: find_bounds_violation(G, 0, Fraction(1, 4)), ValueError, "gamma must be > 0"),
+        (lambda: find_bounds_violation(G, -1, Fraction(1, 4)), ValueError, "gamma must be > 0"),
+        (lambda: find_bounds_violation(G, HALF, HALF), ValueError, "0 < epsilon < 1/2"),
+        (lambda: expansion_profile(G, 2).best_alpha(0), ValueError, "gamma must be > 0"),
         (lambda: expansion_profile(EDGELESS, 1).best_alpha(Fraction(1, 3)),
-         "right-regular graph with d >= 1"),
+         ValueError, "right-regular graph with d >= 1"),
         (lambda: check_expansion(EDGELESS, Fraction(1, 3), HALF),
-         "right-regular graph with d >= 1"),
+         ValueError, "right-regular graph with d >= 1"),
         (lambda: find_bounds_violation(EDGELESS, Fraction(2, 3), Fraction(1, 3)),
-         "right-regular graph with d >= 1"),
+         ValueError, "right-regular graph with d >= 1"),
         (lambda: find_bounds_violation(G, HALF, Fraction(1, 3), certificate=UNVERIFIED),
-         "verified expansion certificate"),
+         ValueError, "verified expansion certificate"),
         (lambda: find_bounds_violation(OTHER, HALF, Fraction(1, 3), certificate=CERT),
-         "different graph"),
+         ValueError, "different graph"),
         (lambda: find_bounds_violation(G, Fraction(1, 4), Fraction(1, 3), certificate=CERT),
-         "certificate gamma 1/2 does not match 1/4"),
+         ValueError, "certificate gamma 1/2 does not match 1/4"),
         (lambda: find_bounds_violation(G, HALF, Fraction(1, 4), certificate=CERT),
-         "certificate alpha 2/3 does not match 1 - epsilon = 3/4"),
+         ValueError, "certificate alpha 2/3 does not match 1 - epsilon = 3/4"),
+        (lambda: Gf2Matrix(-1, 0, ()), ValueError, "matrix dimensions must be >= 0"),
+        (lambda: Gf2Matrix(2, 2, (1,)), ValueError, "expected 2 columns, got 1"),
+        (lambda: Gf2Matrix(2, 1, (4,)), ValueError, r"column 0 has bits outside \[0, 2\)"),
+        (lambda: exact_rational("1/2", "gamma"), TypeError,
+         r"gamma must be an exact rational \(int or Fraction\)"),
+        (lambda: BipartiteGraph(-1, 0, ()), ValueError, "vertex counts must be >= 0"),
+        (lambda: BipartiteGraph(2, 2, ((0,),)), ValueError,
+         "expected 2 right adjacency lists, got 1"),
+        (lambda: BipartiteGraph.from_edges(2, 2, [(0, 2)]), ValueError,
+         r"right index 2 out of range \[0, 2\)"),
+        (lambda: G.neighbor_set(RightSubset(3, 1)), IndexError,
+         "subset universe size 3 does not match right side 4"),
+        (lambda: CERT.describe(), ValueError, "a verified certificate has no counterexample"),
+        (lambda: expansion_profile(G, 2).min_at(3), IndexError,
+         r"size 3 outside the profiled range \[1, 2\]"),
+        (lambda: odd_neighborhood_bounds(IRREGULAR, RightSubset(2, 1), Fraction(1, 3)),
+         ValueError, "bounds require a right-regular graph"),
+        (lambda: serialize_graph(G, "dot"), ValueError, "unknown graph format 'dot'"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
          "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
          "bounds-degree-zero",
          "bounds-certificate-unverified", "bounds-certificate-other-graph",
-         "bounds-certificate-other-gamma", "bounds-certificate-other-alpha"],
+         "bounds-certificate-other-gamma", "bounds-certificate-other-alpha",
+         "matrix-negative-rows", "matrix-column-count", "matrix-column-bits",
+         "exact_rational-string", "graph-negative-counts", "graph-adjacency-count",
+         "from_edges-right-index", "neighbor_set-universe", "describe-verified",
+         "min_at-size", "bounds-irregular", "serialize-unknown-format"],
 )
-def test_parameter_rules_refuse(call, message):
+def test_parameter_rules_refuse(call, error, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be
     # checked and a sweep would pass vacuously; with d = 0 every ratio
     # d*alpha*|S| is 0, and so is the bounds sweep's lower end
     # d*(1-2*eps)*|S|. A certificate settles the bounds only for the
     # graph, gamma and alpha = 1 - epsilon it was verified for.
-    with pytest.raises(ValueError, match=message):
+    # The other cases are the constructors' and accessors' own range and
+    # type checks.
+    with pytest.raises(error, match=message):
         call()
 
 

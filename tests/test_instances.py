@@ -1,6 +1,7 @@
 """Parsing, serialization, the built-in instance, and seeded generation."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,20 @@ def test_writers_match_reference_and_round_trip(g):
     assert matrix_text == reference_matrix(g)
     assert parse_edge_list(edge_text) == g
     assert parse_matrix(matrix_text) == g
+
+
+def test_edge_list_writer_memory_follows_the_edges():
+    # One edge among 10**5 left vertices: a bucket per left vertex would
+    # peak at several MB for a 17-byte file.
+    g = BipartiteGraph.from_edges(10**5, 1, [(10**5 - 1, 0)])
+    tracemalloc.start()
+    try:
+        text = serialize_edge_list(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "100000 1\n99999 0\n"
+    assert peak < 1 << 20
 
 
 def test_parse_errors_are_line_numbered():

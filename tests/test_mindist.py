@@ -340,6 +340,9 @@ def test_verify_distance_result_rejects_corruption():
     assert verify_distance_result(B, too_large) is False
     wrong_witness = MinDistanceResult(RightSubset.of(4, (0, 1, 2)), "subset", 1)
     assert verify_distance_result(B, wrong_witness) is False
+    # a matrix one column wider than the witness's universe
+    wider = Gf2Matrix(B.rows, B.cols + 1, (*B.columns, 0))
+    assert verify_distance_result(wider, good) is False
     with pytest.raises(ValueError):
         verify_distance_result(B, min_distance_kernel(Gf2Matrix(3, 3, (1, 2, 4))))
 

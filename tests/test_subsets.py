@@ -22,6 +22,8 @@ from expandercodes.subsets import (
 
 
 def test_right_subset_range_checks():
+    with pytest.raises(ValueError, match="universe size must be >= 0, got -1"):
+        RightSubset(-1, 0)
     with pytest.raises(ValueError):
         RightSubset(3, 0b1000)
     with pytest.raises(ValueError):
