@@ -18,7 +18,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import CapabilityError, ParseError
 from .graph import (
@@ -74,11 +73,15 @@ def _rational_arg(text: str) -> Fraction:
 def load_graph(source: str, fmt: str) -> BipartiteGraph:
     if source == "figure1":
         return figure1()
+    # One read and one decode of the bytes; utf-8-sig drops the byte-order
+    # mark some editors write first, and the parsers split lines at CRLF
+    # and lone CR as well as LF.
     try:
-        # utf-8-sig drops the byte-order mark some editors write first.
-        return parse_graph(Path(source).read_text(encoding="utf-8-sig"), fmt)
+        with open(source, "rb") as f:
+            text = f.read().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
+    return parse_graph(text, fmt)
 
 
 def _mindist_lines(rec: dict) -> list[str]:

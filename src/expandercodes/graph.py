@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .gf2 import Gf2Matrix, nullspace_basis
 from .subsets import (
@@ -73,6 +73,15 @@ def _expansion_degree(d: int | None) -> int:
     return d
 
 
+def _refuse_neighbors(j: int, neigh: tuple[int, ...], m: int) -> NoReturn:
+    """Refuse right vertex ``j``'s sorted neighbors, which leave [0, m): a
+    duplicate first, else the smallest index out of range."""
+    if len(set(neigh)) != len(neigh):
+        raise ValueError(f"right vertex {j} has a duplicate edge")
+    i = neigh[0] if neigh[0] < 0 else next(i for i in neigh if i >= m)
+    raise ValueError(f"right vertex {j}: left index {i} out of range [0, {m})")
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable bipartite graph stored as sorted neighbor tuples per right
@@ -89,24 +98,29 @@ class BipartiteGraph:
     _masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+        m = self.m
+        if m < 0 or self.n < 0:
             raise ValueError("vertex counts must be >= 0")
-        adj = tuple(tuple(sorted(neigh)) for neigh in self.right_adj)
+        adj = tuple(map(tuple, map(sorted, self.right_adj)))
         if len(adj) != self.n:
             raise ValueError(f"expected {self.n} right adjacency lists, got {len(adj)}")
         masks = []
         for j, neigh in enumerate(adj):
-            if len(set(neigh)) != len(neigh):
-                raise ValueError(f"right vertex {j} has a duplicate edge")
+            # Sorted, so the ends bound the range.
+            if neigh and (neigh[0] < 0 or neigh[-1] >= m):
+                _refuse_neighbors(j, neigh, m)
+            if len(neigh) == 1:
+                masks.append(1 << neigh[0])  # not 0 | bit, a copy of an m-bit int
+                continue
             mask = 0
             for i in neigh:
-                if not 0 <= i < self.m:
-                    raise ValueError(
-                        f"right vertex {j}: left index {i} out of range [0, {self.m})"
-                    )
                 mask |= 1 << i
+            # A repeated index sets its bit twice, leaving fewer bits than
+            # neighbors.
+            if mask.bit_count() != len(neigh):
+                raise ValueError(f"right vertex {j} has a duplicate edge")
             masks.append(mask)
-        degrees = {len(neigh) for neigh in adj}
+        degrees = set(map(len, adj))
         object.__setattr__(self, "right_adj", adj)
         object.__setattr__(self, "d", degrees.pop() if len(degrees) == 1 else None)
         object.__setattr__(self, "_masks", tuple(masks))
@@ -118,7 +132,7 @@ class BipartiteGraph:
             if not 0 <= right < n:
                 raise ValueError(f"right index {right} out of range [0, {n})")
             adj[right].append(left)
-        return cls(m, n, tuple(tuple(a) for a in adj))
+        return cls(m, n, adj)
 
     def neighbor_set(self, subset: RightSubset) -> frozenset[int]:
         """N(S): union of the neighborhoods of the vertices in S."""

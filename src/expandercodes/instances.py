@@ -49,35 +49,34 @@ def _header(lineno: int, parts: list[str], names: str, what: str) -> tuple[int, 
 def parse_edge_list(text: str) -> BipartiteGraph:
     """Parse the edge-list format: "m n" header, one "left right" pair per
     line, '#' starting a comment; duplicate edges are rejected."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    # One iterator: the edge loop resumes after the header line.
+    rows = enumerate(text.splitlines(), 1)
+    for lineno, raw in rows:
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            m, n = _header(lineno, parts, "m n", "vertex counts")
+            break
+    else:
+        raise ParseError("empty input: missing 'm n' header")
+    # Edge -> its line number: one lookup refuses a repeat, and the keys
+    # are the edges in file order.
+    edges: dict[tuple[int, int], int] = {}
+    for lineno, raw in rows:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if header is None:
-            header = _header(lineno, parts, "m n", "vertex counts")
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected edge 'left right'")
         try:
-            left, right = int(parts[0]), int(parts[1])
+            a, b = parts
+            edge = left, right = int(a), int(b)
         except ValueError:
             raise ParseError(f"line {lineno}: expected edge 'left right'") from None
-        m, n = header
         if not 0 <= left < m:
             raise ParseError(f"line {lineno}: left index {left} out of range [0, {m})")
         if not 0 <= right < n:
             raise ParseError(f"line {lineno}: right index {right} out of range [0, {n})")
-        if (left, right) in seen:
+        if edges.setdefault(edge, lineno) != lineno:
             raise ParseError(f"line {lineno}: duplicate edge ({left}, {right})")
-        seen.add((left, right))
-        edges.append((left, right))
-    if header is None:
-        raise ParseError("empty input: missing 'm n' header")
-    return BipartiteGraph.from_edges(header[0], header[1], edges)
+    return BipartiteGraph.from_edges(m, n, edges)
 
 
 def parse_matrix(text: str) -> BipartiteGraph:

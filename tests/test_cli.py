@@ -474,17 +474,39 @@ def test_graph_files_are_read_as_utf8(tmp_path):
     assert err.startswith("error: cannot read input: ")
 
 
-@pytest.mark.parametrize("fmt", ["edge-list", "matrix"])
-def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, fmt):
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "fmt, mark, newline",
+    [
+        ("edge-list", BOM, b"\n"),
+        ("matrix", BOM, b"\n"),
+        ("edge-list", b"", b"\r\n"),
+        ("edge-list", b"", b"\r"),
+        ("edge-list", BOM, b"\r\n"),
+        ("matrix", b"", b"\r\n"),
+    ],
+    ids=["edge-list", "matrix", "edge-list-crlf", "edge-list-cr", "edge-list-bom-crlf",
+         "matrix-crlf"],
+)
+def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, fmt, mark, newline):
     # Some editors start a UTF-8 file with the mark EF BB BF; it is not part
-    # of the header.
+    # of the header. Nor do CRLF or lone CR line ends change what is read.
     text = serialize_graph(random_right_regular(GenSpec(5, 8, 2, seed=7)), fmt)
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
     plain.write_text(text, encoding="utf-8")
-    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    marked.write_bytes(mark + text.encode().replace(b"\n", newline))
     expected = run(capsys, "mindist", str(plain), "--format", fmt, "--json")
     assert expected[0] == 0
     assert run(capsys, "mindist", str(marked), "--format", fmt, "--json") == expected
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_line_numbers_count_every_line_end(tmp_path, capsys, newline):
+    path = tmp_path / "repeat.edges"
+    path.write_bytes(newline.join([b"2 2", b"0 0", b"0 0", b""]))
+    assert run(capsys, "mindist", str(path)) == (2, "", "error: line 3: duplicate edge (0, 0)\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

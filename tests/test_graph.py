@@ -2,6 +2,8 @@
 exhaustive expansion verification."""
 
 import json
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -81,6 +83,20 @@ def test_graph_validation():
         BipartiteGraph(2, 1, ((2,),))
     mixed = BipartiteGraph(3, 2, ((0,), (0, 1)))
     assert mixed.d is None
+
+
+def test_lone_edge_mask_is_built_once():
+    # A right vertex with one neighbor among m = 10^7 left vertices has an
+    # m-bit mask; building it must not hold a second copy (0 | bit did).
+    m = 10**7
+    tracemalloc.start()
+    try:
+        graph = BipartiteGraph(m, 1, ((m - 1,),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph._masks == (1 << (m - 1),)
+    assert peak < 1.5 * sys.getsizeof(graph._masks[0])
 
 
 def test_check_expansion_verified():
@@ -342,6 +358,16 @@ def test_bounds_sweep_matches_brute_force_oracle():
         (lambda: BipartiteGraph(-1, 0, ()), ValueError, "vertex counts must be >= 0"),
         (lambda: BipartiteGraph(2, 2, ((0,),)), ValueError,
          "expected 2 right adjacency lists, got 1"),
+        (lambda: BipartiteGraph(2, 1, ((0,), (1,))), ValueError,
+         "^expected 1 right adjacency lists, got 2$"),
+        (lambda: BipartiteGraph(2, 1, ((5, 0, 5),)), ValueError,
+         "^right vertex 0 has a duplicate edge$"),
+        (lambda: BipartiteGraph(2, 1, ((1, -1, -3),)), ValueError,
+         r"^right vertex 0: left index -3 out of range \[0, 2\)$"),
+        (lambda: BipartiteGraph(2, 1, ((2, 0),)), ValueError,
+         r"^right vertex 0: left index 2 out of range \[0, 2\)$"),
+        (lambda: BipartiteGraph(3, 3, ((0,), (7, 1, 5), (0, 0))), ValueError,
+         r"^right vertex 1: left index 5 out of range \[0, 3\)$"),
         (lambda: BipartiteGraph.from_edges(2, 2, [(0, 2)]), ValueError,
          r"right index 2 out of range \[0, 2\)"),
         (lambda: G.neighbor_set(RightSubset(3, 1)), IndexError,
@@ -360,6 +386,8 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "bounds-certificate-other-gamma", "bounds-certificate-other-alpha",
          "matrix-negative-rows", "matrix-column-count", "matrix-column-bits",
          "exact_rational-string", "graph-negative-counts", "graph-adjacency-count",
+         "graph-adjacency-extra", "graph-duplicate-before-range", "graph-negative-index",
+         "graph-index-equals-m", "graph-first-bad-vertex",
          "from_edges-right-index", "neighbor_set-universe", "describe-verified",
          "min_at-size", "bounds-irregular", "serialize-unknown-format"],
 )
@@ -370,7 +398,8 @@ def test_parameter_rules_refuse(call, error, message):
     # d*(1-2*eps)*|S|. A certificate settles the bounds only for the
     # graph, gamma and alpha = 1 - epsilon it was verified for.
     # The other cases are the constructors' and accessors' own range and
-    # type checks.
+    # type checks. A graph refuses its first bad right vertex, and within it
+    # a duplicate before the smallest index out of range.
     with pytest.raises(error, match=message):
         call()
 
