@@ -131,6 +131,8 @@ def _bound_lines(rec: dict) -> list[str]:
 
 def cmd_mindist(args) -> dict:
     graph = load_graph(args.graph, args.format)
+    if args.method != "pruned" and (args.gamma is not None or args.epsilon is not None):
+        args.parser.error("--gamma and --epsilon require --method pruned")
     if args.method == "kernel":
         result = min_distance_kernel(graph.biadjacency())
     elif args.method == "subset":

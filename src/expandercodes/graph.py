@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NoReturn
+from functools import cached_property
+from operator import index
+from typing import Iterable
 
 from .gf2 import Gf2Matrix, nullspace_basis
 from .subsets import (
@@ -73,19 +75,10 @@ def _expansion_degree(d: int | None) -> int:
     return d
 
 
-def _refuse_neighbors(j: int, neigh: tuple[int, ...], m: int) -> NoReturn:
-    """Refuse right vertex ``j``'s sorted neighbors, which leave [0, m): a
-    duplicate first, else the smallest index out of range."""
-    if len(set(neigh)) != len(neigh):
-        raise ValueError(f"right vertex {j} has a duplicate edge")
-    i = neigh[0] if neigh[0] < 0 else next(i for i in neigh if i >= m)
-    raise ValueError(f"right vertex {j}: left index {i} out of range [0, {m})")
-
-
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable bipartite graph stored as sorted neighbor tuples per right
-    vertex, with packed left-neighborhood masks derived once at construction.
+    vertex; its biadjacency columns are packed from them once, on first use.
 
     ``d`` is the uniform right-degree when every right vertex has the same
     number of neighbors, else None.
@@ -95,7 +88,6 @@ class BipartiteGraph:
     n: int
     right_adj: tuple[tuple[int, ...], ...]
     d: int | None = field(init=False, compare=False)
-    _masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.m
@@ -104,26 +96,34 @@ class BipartiteGraph:
         adj = tuple(map(tuple, map(sorted, self.right_adj)))
         if len(adj) != self.n:
             raise ValueError(f"expected {self.n} right adjacency lists, got {len(adj)}")
-        masks = []
         for j, neigh in enumerate(adj):
-            # Sorted, so the ends bound the range.
-            if neigh and (neigh[0] < 0 or neigh[-1] >= m):
-                _refuse_neighbors(j, neigh, m)
-            if len(neigh) == 1:
-                masks.append(1 << neigh[0])  # not 0 | bit, a copy of an m-bit int
-                continue
-            mask = 0
+            last = -1  # sorted, so valid indices climb strictly from 0 to below m
             for i in neigh:
-                mask |= 1 << i
-            # A repeated index sets its bit twice, leaving fewer bits than
-            # neighbors.
-            if mask.bit_count() != len(neigh):
+                if type(i) is not int or not last < i < m:
+                    break
+                last = i
+            else:
+                continue
+            if type(i) is not int:  # index(): a bool becomes an int, a float or str fails
+                return self.__init__(m, self.n, tuple(tuple(map(index, t)) for t in adj))
+            if len(set(neigh)) != len(neigh):
                 raise ValueError(f"right vertex {j} has a duplicate edge")
-            masks.append(mask)
+            # No repeat, so the loop stopped at the smallest index out of range.
+            raise ValueError(f"right vertex {j}: left index {i} out of range [0, {m})")
         degrees = set(map(len, adj))
         object.__setattr__(self, "right_adj", adj)
         object.__setattr__(self, "d", degrees.pop() if len(degrees) == 1 else None)
-        object.__setattr__(self, "_masks", tuple(masks))
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Column j of the biadjacency matrix: bit i set for each neighbor i."""
+        masks = []
+        for neigh in self.right_adj:
+            mask = 0
+            for i in neigh:  # not 0 | (1 << i), a second m-bit int
+                mask = mask | 1 << i if mask else 1 << i
+            masks.append(mask)
+        return tuple(masks)
 
     @classmethod
     def from_edges(cls, m: int, n: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
@@ -137,10 +137,7 @@ class BipartiteGraph:
     def neighbor_set(self, subset: RightSubset) -> frozenset[int]:
         """N(S): union of the neighborhoods of the vertices in S."""
         self._check_subset(subset)
-        acc = 0
-        for j in subset.indices:
-            acc |= self._masks[j]
-        return frozenset(bit_indices(acc))
+        return frozenset(i for j in subset.indices for i in self.right_adj[j])
 
     def odd_neighborhood(self, subset: RightSubset) -> frozenset[int]:
         """Left vertices with an odd number of neighbors in S.

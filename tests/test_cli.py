@@ -221,6 +221,15 @@ def test_mindist_pruned_requires_rationals():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("method", [[], ["--method", "subset"], ["--method", "kernel"]])
+@pytest.mark.parametrize("option", [["--gamma", "1/2"], ["--epsilon", "3/4"]])
+def test_mindist_pruning_options_require_pruned(capsys, method, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["mindist", "figure1", *method, *option])
+    assert exc.value.code == 2
+    assert "--gamma and --epsilon require --method pruned" in capsys.readouterr().err
+
+
 def test_mindist_json_round_trips(capsys):
     status, out, _ = run(capsys, "mindist", "figure1", "--json")
     assert status == 0

@@ -87,16 +87,38 @@ def test_graph_validation():
 
 def test_lone_edge_mask_is_built_once():
     # A right vertex with one neighbor among m = 10^7 left vertices has an
-    # m-bit mask; building it must not hold a second copy (0 | bit did).
+    # m-bit mask; packing it must not hold a second copy (0 | bit did).
     m = 10**7
+    graph = BipartiteGraph(m, 1, ((m - 1,),))
     tracemalloc.start()
     try:
-        graph = BipartiteGraph(m, 1, ((m - 1,),))
+        columns = graph.biadjacency().columns
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert graph._masks == (1 << (m - 1),)
-    assert peak < 1.5 * sys.getsizeof(graph._masks[0])
+    assert columns == (1 << (m - 1),)
+    assert graph.biadjacency().columns is columns  # packed once
+    assert peak < 1.5 * sys.getsizeof(columns[0])
+
+
+def test_graph_memory_follows_the_edges():
+    # One edge among 10^9 left vertices: generating and writing the graph
+    # never packs its 125 MB column.
+    tracemalloc.start()
+    try:
+        text = serialize_graph(random_right_regular(GenSpec(10**9, 1, 1, 0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "1000000000 1\n658607535 0\n"
+    assert peak < 1 << 20
+
+
+def test_bool_neighbors_are_plain_ints():
+    graph = BipartiteGraph(3, 1, ((True,),))
+    assert graph.right_adj == ((1,),) and type(graph.right_adj[0][0]) is int
+    assert serialize_graph(graph) == "3 1\n1 0\n"
+    assert parse_graph(serialize_graph(graph)) == graph
 
 
 def test_check_expansion_verified():
@@ -368,6 +390,10 @@ def test_bounds_sweep_matches_brute_force_oracle():
          r"^right vertex 0: left index 2 out of range \[0, 2\)$"),
         (lambda: BipartiteGraph(3, 3, ((0,), (7, 1, 5), (0, 0))), ValueError,
          r"^right vertex 1: left index 5 out of range \[0, 3\)$"),
+        (lambda: BipartiteGraph(2, 1, ((0, 1.0),)), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: BipartiteGraph(2, 1, (("1",),)), TypeError,
+         "'str' object cannot be interpreted as an integer"),
         (lambda: BipartiteGraph.from_edges(2, 2, [(0, 2)]), ValueError,
          r"right index 2 out of range \[0, 2\)"),
         (lambda: G.neighbor_set(RightSubset(3, 1)), IndexError,
@@ -387,7 +413,8 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "matrix-negative-rows", "matrix-column-count", "matrix-column-bits",
          "exact_rational-string", "graph-negative-counts", "graph-adjacency-count",
          "graph-adjacency-extra", "graph-duplicate-before-range", "graph-negative-index",
-         "graph-index-equals-m", "graph-first-bad-vertex",
+         "graph-index-equals-m", "graph-first-bad-vertex", "graph-float-index",
+         "graph-str-index",
          "from_edges-right-index", "neighbor_set-universe", "describe-verified",
          "min_at-size", "bounds-irregular", "serialize-unknown-format"],
 )
