@@ -13,31 +13,28 @@ The module is algebra only: the matrix text format is read and written by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .subsets import RightSubset, _xor
+from .subsets import RightSubset, _Value, _setattr, _xor
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
+class Gf2Matrix(_Value):
     """Column-major bit-packed 0/1 matrix; ``columns[j]`` has bit i set iff
     entry (i, j) is 1."""
 
-    rows: int
-    cols: int
-    columns: tuple[int, ...]
+    _fields = ("rows", "cols", "columns")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, columns: tuple[int, ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be >= 0")
-        if len(self.columns) != self.cols:
-            raise ValueError(
-                f"expected {self.cols} columns, got {len(self.columns)}"
-            )
-        for j, col in enumerate(self.columns):
-            if col < 0 or col >> self.rows:
-                raise ValueError(f"column {j} has bits outside [0, {self.rows})")
+        if len(columns) != cols:
+            raise ValueError(f"expected {cols} columns, got {len(columns)}")
+        for j, col in enumerate(columns):
+            if col < 0 or col >> rows:
+                raise ValueError(f"column {j} has bits outside [0, {rows})")
+        _setattr(self, "rows", rows)
+        _setattr(self, "cols", cols)
+        _setattr(self, "columns", columns)
 
 
 def xor_columns(matrix: Gf2Matrix, subset: RightSubset) -> int:

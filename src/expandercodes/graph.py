@@ -14,16 +14,17 @@ rejected so equality cases like |N(S)| = 8/3 never hinge on rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from operator import index
-from typing import Iterable
 
 from .gf2 import Gf2Matrix, nullspace_basis
 from .subsets import (
     DEFAULT_SUBSET_BUDGET,
     RightSubset,
+    _Value,
+    _setattr,
     bit_indices,
     charge,
     count_sizes,
@@ -75,27 +76,23 @@ def _expansion_degree(d: int | None) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(_Value):
     """Immutable bipartite graph stored as sorted neighbor tuples per right
     vertex; its biadjacency columns are packed from them once, on first use.
 
     ``d`` is the uniform right-degree when every right vertex has the same
-    number of neighbors, else None.
+    number of neighbors, else None; it is derived, so it is neither a
+    constructor parameter nor compared.
     """
 
-    m: int
-    n: int
-    right_adj: tuple[tuple[int, ...], ...]
-    d: int | None = field(init=False, compare=False)
+    _fields = ("m", "n", "right_adj")
 
-    def __post_init__(self):
-        m = self.m
-        if m < 0 or self.n < 0:
+    def __init__(self, m: int, n: int, right_adj: Iterable[Iterable[int]]):
+        if m < 0 or n < 0:
             raise ValueError("vertex counts must be >= 0")
-        adj = tuple(map(tuple, map(sorted, self.right_adj)))
-        if len(adj) != self.n:
-            raise ValueError(f"expected {self.n} right adjacency lists, got {len(adj)}")
+        adj = tuple(map(tuple, map(sorted, right_adj)))
+        if len(adj) != n:
+            raise ValueError(f"expected {n} right adjacency lists, got {len(adj)}")
         for j, neigh in enumerate(adj):
             last = -1  # sorted, so valid indices climb strictly from 0 to below m
             for i in neigh:
@@ -105,14 +102,16 @@ class BipartiteGraph:
             else:
                 continue
             if type(i) is not int:  # index(): a bool becomes an int, a float or str fails
-                return self.__init__(m, self.n, tuple(tuple(map(index, t)) for t in adj))
+                return self.__init__(m, n, tuple(tuple(map(index, t)) for t in adj))
             if len(set(neigh)) != len(neigh):
                 raise ValueError(f"right vertex {j} has a duplicate edge")
             # No repeat, so the loop stopped at the smallest index out of range.
             raise ValueError(f"right vertex {j}: left index {i} out of range [0, {m})")
         degrees = set(map(len, adj))
-        object.__setattr__(self, "right_adj", adj)
-        object.__setattr__(self, "d", degrees.pop() if len(degrees) == 1 else None)
+        _setattr(self, "m", m)
+        _setattr(self, "n", n)
+        _setattr(self, "right_adj", adj)
+        _setattr(self, "d", degrees.pop() if len(degrees) == 1 else None)
 
     @cached_property
     def _masks(self) -> tuple[int, ...]:
@@ -124,6 +123,16 @@ class BipartiteGraph:
                 mask = mask | 1 << i if mask else 1 << i
             masks.append(mask)
         return tuple(masks)
+
+    @cached_property
+    def _biadjacency(self) -> Gf2Matrix:
+        # The packed columns are in range by construction, so the matrix
+        # is stored without Gf2Matrix's per-column check.
+        matrix = object.__new__(Gf2Matrix)
+        _setattr(matrix, "rows", self.m)
+        _setattr(matrix, "cols", self.n)
+        _setattr(matrix, "columns", self._masks)
+        return matrix
 
     @classmethod
     def from_edges(cls, m: int, n: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
@@ -150,8 +159,9 @@ class BipartiteGraph:
         return frozenset(bit_indices(_xor(self._masks, subset.indices)))
 
     def biadjacency(self) -> Gf2Matrix:
-        """m x n matrix with entry (i, j) = 1 iff left i is adjacent to right j."""
-        return Gf2Matrix(self.m, self.n, self._masks)
+        """m x n matrix with entry (i, j) = 1 iff left i is adjacent to right j,
+        built once per graph."""
+        return self._biadjacency
 
     def _check_subset(self, subset: RightSubset) -> None:
         if subset.n != self.n:
@@ -170,8 +180,7 @@ def _violation_sentence(rec: dict) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ExpanderCertificate:
+class ExpanderCertificate(_Value):
     """Outcome of exhaustively checking the expansion inequality on one graph.
 
     ``violation`` is the first subset in (cardinality, lex) enumeration
@@ -179,10 +188,19 @@ class ExpanderCertificate:
     size <= size_cap(gamma, n) has one; the certificate is then verified.
     """
 
-    graph: BipartiteGraph
-    gamma: Fraction
-    alpha: Fraction
-    violation: RightSubset | None
+    _fields = ("graph", "gamma", "alpha", "violation")
+
+    def __init__(
+        self,
+        graph: BipartiteGraph,
+        gamma: Fraction,
+        alpha: Fraction,
+        violation: RightSubset | None,
+    ):
+        _setattr(self, "graph", graph)
+        _setattr(self, "gamma", gamma)
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "violation", violation)
 
     @property
     def verified(self) -> bool:
@@ -227,13 +245,15 @@ class ExpanderCertificate:
             )
 
 
-@dataclass(frozen=True)
-class ExpansionProfile:
+class ExpansionProfile(_Value):
     """Exact min |N(S)| per subset size, for sizes 1..s_max."""
 
-    n: int
-    d: int | None
-    min_neighbors: tuple[int, ...]
+    _fields = ("n", "d", "min_neighbors")
+
+    def __init__(self, n: int, d: int | None, min_neighbors: tuple[int, ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "d", d)
+        _setattr(self, "min_neighbors", min_neighbors)
 
     @property
     def s_max(self) -> int:
@@ -325,18 +345,27 @@ def odd_neighborhood_bounds(graph: BipartiteGraph, subset: RightSubset, epsilon)
     return lower, odd, nbhd
 
 
-@dataclass(frozen=True)
-class BoundsSweep:
+class BoundsSweep(_Value):
     """The sandwich inequality over all nonempty subsets up to
     size_cap(gamma, n). ``subsets_checked`` counts the subsets it was
     established for, walked or not: all of them when it holds, otherwise
     those up to and including ``violation``, the first failure."""
 
-    gamma: Fraction
-    epsilon: Fraction
-    size_cap: int
-    subsets_checked: int
-    violation: tuple[RightSubset, Fraction, int, int] | None
+    _fields = ("gamma", "epsilon", "size_cap", "subsets_checked", "violation")
+
+    def __init__(
+        self,
+        gamma: Fraction,
+        epsilon: Fraction,
+        size_cap: int,
+        subsets_checked: int,
+        violation: tuple[RightSubset, Fraction, int, int] | None,
+    ):
+        _setattr(self, "gamma", gamma)
+        _setattr(self, "epsilon", epsilon)
+        _setattr(self, "size_cap", size_cap)
+        _setattr(self, "subsets_checked", subsets_checked)
+        _setattr(self, "violation", violation)
 
     def to_record(self, m: int) -> dict:
         rec = {
@@ -403,8 +432,7 @@ def find_bounds_violation(
     return BoundsSweep(gamma, epsilon, cap, checked, violation)
 
 
-@dataclass(frozen=True)
-class PartitionSweep:
+class PartitionSweep(_Value):
     """Counts behind the partition property: splitting any S with empty odd
     neighborhood into nonempty halves A and B gives odd(A) = odd(B).
 
@@ -412,9 +440,12 @@ class PartitionSweep:
     ``to_record`` still reports ``"violation": null``.
     """
 
-    subsets_checked: int
-    empty_odd_found: int
-    partitions_checked: int
+    _fields = ("subsets_checked", "empty_odd_found", "partitions_checked")
+
+    def __init__(self, subsets_checked: int, empty_odd_found: int, partitions_checked: int):
+        _setattr(self, "subsets_checked", subsets_checked)
+        _setattr(self, "empty_odd_found", empty_odd_found)
+        _setattr(self, "partitions_checked", partitions_checked)
 
     def to_record(self) -> dict:
         return {

@@ -13,10 +13,11 @@ does not depend on the interpreter's own RNG.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from operator import index
 
 from .errors import ParseError
 from .graph import BipartiteGraph
+from .subsets import _Value, _setattr
 
 EDGE_LIST = "edge-list"
 MATRIX = "matrix"
@@ -216,22 +217,34 @@ class SplitMix64:
         return sorted(chosen)
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Parameters for seeded right-regular generation."""
+class GenSpec(_Value):
+    """Parameters for seeded right-regular generation: four ints, where a
+    bool counts as 0 or 1 and a float or str is refused."""
 
-    m: int
-    n: int
-    d: int
-    seed: int
+    _fields = ("m", "n", "d", "seed")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"m and n must be >= 1, got m={self.m}, n={self.n}")
-        if not 1 <= self.d <= self.m:
-            raise ValueError(f"d must satisfy 1 <= d <= m, got d={self.d}, m={self.m}")
-        if not 0 <= self.seed <= _U64:
+    def __init__(self, m: int, n: int, d: int, seed: int):
+        if not type(m) is type(n) is type(d) is type(seed) is int:
+            m, n, d, seed = map(_int_field, self._fields, (m, n, d, seed))
+        if m < 1 or n < 1:
+            raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
+        if not 1 <= d <= m:
+            raise ValueError(f"d must satisfy 1 <= d <= m, got d={d}, m={m}")
+        if not 0 <= seed <= _U64:
             raise ValueError("seed must fit in 64 bits")
+        _setattr(self, "m", m)
+        _setattr(self, "n", n)
+        _setattr(self, "d", d)
+        _setattr(self, "seed", seed)
+
+
+def _int_field(name: str, value) -> int:
+    """``operator.index`` of a field: a bool becomes 0 or 1; a float or str
+    is refused with a TypeError that names the field."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
 
 
 def random_right_regular(spec: GenSpec) -> BipartiteGraph:

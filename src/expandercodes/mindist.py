@@ -21,7 +21,6 @@ comparison with ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf2 import Gf2Matrix, nullspace_basis, rank, xor_columns
@@ -36,6 +35,8 @@ from .subsets import (
     DEFAULT_SUBSET_BUDGET,
     RightSubset,
     XorZeroLevels,
+    _Value,
+    _setattr,
     charge,
     count_sizes,
     first_hit_by_level,
@@ -63,8 +64,7 @@ class _InfiniteDistance:
 INFINITE = _InfiniteDistance()
 
 
-@dataclass(frozen=True)
-class MinDistanceResult:
+class MinDistanceResult(_Value):
     """A witness subset whose odd neighborhood is empty, or None for the
     trivial code; ``distance`` is its size, INFINITE without one.
 
@@ -74,10 +74,19 @@ class MinDistanceResult:
     certified size bound for the pruned method, else None.
     """
 
-    witness: RightSubset | None
-    method: str
-    examined: int
-    threshold: Fraction | None = None
+    _fields = ("witness", "method", "examined", "threshold")
+
+    def __init__(
+        self,
+        witness: RightSubset | None,
+        method: str,
+        examined: int,
+        threshold: Fraction | None = None,
+    ):
+        _setattr(self, "witness", witness)
+        _setattr(self, "method", method)
+        _setattr(self, "examined", examined)
+        _setattr(self, "threshold", threshold)
 
     @property
     def distance(self) -> int | _InfiniteDistance:
@@ -97,8 +106,7 @@ class MinDistanceResult:
         }
 
 
-@dataclass(frozen=True)
-class PruningParams:
+class PruningParams(_Value):
     """Certified input for the pruned search: an expansion certificate,
     whose gamma and alpha = 1 - epsilon the search reads.
 
@@ -108,7 +116,10 @@ class PruningParams:
     pruned search never runs on an unproven expansion claim.
     """
 
-    certificate: ExpanderCertificate
+    _fields = ("certificate",)
+
+    def __init__(self, certificate: ExpanderCertificate):
+        _setattr(self, "certificate", certificate)
 
     @property
     def gamma(self) -> Fraction:

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
 from itertools import chain, combinations, islice
-from operator import xor
-from typing import Callable, Iterable, Sequence
+from operator import attrgetter, xor
 
 from .errors import CapabilityError
 
@@ -62,22 +61,65 @@ def bit_indices(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RightSubset:
+# Stores a field past ``_Value.__setattr__``: bound once here, it costs
+# less per call than looking up ``object.__setattr__`` in a constructor.
+_setattr = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    ``_fields`` names a type's constructor parameters in order. Equality,
+    hashing and ``repr`` read those fields, and assigning or deleting any
+    attribute raises AttributeError. Each type's ``__init__`` validates its
+    arguments and stores them with ``_setattr``, which bypasses that
+    refusal. They live in the instance ``__dict__`` like any attribute, so
+    ``copy``, ``pickle`` and ``functools.cached_property`` work unchanged.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Reads every field in one C call (a lone field bare, not in a tuple).
+        cls._field_values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._field_values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class RightSubset(_Value):
     """A subset of the right vertices [0, n) packed into one int, which is
     also a length-n vector over GF(2) (bit i <-> entry i).
 
     Immutable; set bits may only appear at positions below ``n``.
     """
 
-    n: int
-    bits: int
+    _fields = ("n", "bits")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"universe size must be >= 0, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
+    def __init__(self, n: int, bits: int):
+        if n < 0:
+            raise ValueError(f"universe size must be >= 0, got {n}")
+        if bits < 0 or bits >> n:
             raise ValueError("subset has bits outside the universe [0, n)")
+        _setattr(self, "n", n)
+        _setattr(self, "bits", bits)
 
     @classmethod
     def of(cls, n: int, indices: Iterable[int]) -> "RightSubset":

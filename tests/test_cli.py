@@ -67,6 +67,22 @@ def test_star_import_and_exports():
     ]
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # Each command starts a fresh interpreter, which pays for every module
+    # the package imports. -S keeps site's path hooks, which may import
+    # typing themselves, out of the count.
+    env = dict(os.environ, PYTHONPATH=str(Path(expandercodes.__file__).parents[1]))
+    code = (
+        "import sys, expandercodes, expandercodes.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, encoding="utf-8", env=env, timeout=60, check=True,
+    )
+    assert proc.stdout == "\n"
+
+
 def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()

@@ -121,6 +121,21 @@ def test_bool_neighbors_are_plain_ints():
     assert parse_graph(serialize_graph(graph)) == graph
 
 
+def test_bool_gen_fields_are_plain_ints():
+    spec = GenSpec(3, True, True, False)
+    assert (spec.m, spec.n, spec.d, spec.seed) == (3, 1, 1, 0)
+    assert {type(v) for v in (spec.n, spec.d, spec.seed)} == {int}
+    assert spec == GenSpec(3, 1, 1, 0)
+
+
+def test_biadjacency_is_built_once():
+    graph = random_right_regular(GenSpec(8, 28, 3, 5))
+    assert graph.biadjacency() is graph.biadjacency()
+    # A matrix a caller builds is still checked.
+    with pytest.raises(ValueError, match="column 0 has bits outside"):
+        Gf2Matrix(2, 1, (graph.biadjacency().columns[0],))
+
+
 def test_check_expansion_verified():
     cert = check_expansion(G, HALF, Fraction(2, 3))
     assert cert.verified and cert.violation is None
@@ -404,6 +419,10 @@ def test_bounds_sweep_matches_brute_force_oracle():
         (lambda: odd_neighborhood_bounds(IRREGULAR, RightSubset(2, 1), Fraction(1, 3)),
          ValueError, "bounds require a right-regular graph"),
         (lambda: serialize_graph(G, "dot"), ValueError, "unknown graph format 'dot'"),
+        (lambda: random_right_regular(GenSpec(3, 2, 1, 1.5)), TypeError,
+         "^seed must be an int, not float$"),
+        (lambda: GenSpec(3.0, 2, 1, 0), TypeError, "^m must be an int, not float$"),
+        (lambda: GenSpec(m=3, n="2", d=1, seed=0), TypeError, "^n must be an int, not str$"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
          "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
@@ -416,7 +435,8 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "graph-index-equals-m", "graph-first-bad-vertex", "graph-float-index",
          "graph-str-index",
          "from_edges-right-index", "neighbor_set-universe", "describe-verified",
-         "min_at-size", "bounds-irregular", "serialize-unknown-format"],
+         "min_at-size", "bounds-irregular", "serialize-unknown-format",
+         "genspec-float-seed", "genspec-float-m", "genspec-str-n"],
 )
 def test_parameter_rules_refuse(call, error, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be
