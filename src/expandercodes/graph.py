@@ -126,13 +126,7 @@ class BipartiteGraph(_Value):
 
     @cached_property
     def _biadjacency(self) -> Gf2Matrix:
-        # The packed columns are in range by construction, so the matrix
-        # is stored without Gf2Matrix's per-column check.
-        matrix = object.__new__(Gf2Matrix)
-        _setattr(matrix, "rows", self.m)
-        _setattr(matrix, "cols", self.n)
-        _setattr(matrix, "columns", self._masks)
-        return matrix
+        return Gf2Matrix(self.m, self.n, self._masks)
 
     @classmethod
     def from_edges(cls, m: int, n: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
