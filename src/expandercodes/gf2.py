@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .subsets import RightSubset, _Value, _setattr, _xor
+from .subsets import RightSubset, _Value, _int_field, _setattr, _xor
 
 
 class Gf2Matrix(_Value):
@@ -25,6 +25,8 @@ class Gf2Matrix(_Value):
     _fields = ("rows", "cols", "columns")
 
     def __init__(self, rows: int, cols: int, columns: tuple[int, ...]):
+        if not type(rows) is type(cols) is int:
+            rows, cols = map(_int_field, ("rows", "cols"), (rows, cols))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be >= 0")
         if len(columns) != cols:

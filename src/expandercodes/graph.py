@@ -24,6 +24,7 @@ from .subsets import (
     DEFAULT_SUBSET_BUDGET,
     RightSubset,
     _Value,
+    _int_field,
     _setattr,
     bit_indices,
     charge,
@@ -31,6 +32,7 @@ from .subsets import (
     first_hit_by_level,
     level_min_union,
     scan_union_below,
+    _Stop,
     _unions_below,
     _xor,
 )
@@ -88,6 +90,8 @@ class BipartiteGraph(_Value):
     _fields = ("m", "n", "right_adj")
 
     def __init__(self, m: int, n: int, right_adj: Iterable[Iterable[int]]):
+        if not type(m) is type(n) is int:
+            m, n = map(_int_field, ("m", "n"), (m, n))
         if m < 0 or n < 0:
             raise ValueError("vertex counts must be >= 0")
         adj = tuple(map(tuple, map(sorted, right_adj)))
@@ -409,14 +413,19 @@ def find_bounds_violation(
         certificate.require(gamma, epsilon, graph)
         return BoundsSweep(gamma, epsilon, cap, count_sizes(n, 1, cap), None)
 
+    masks = graph._masks
+
     def scan(k):
         # For an integer count c, c < x exactly when c < ceil(x).
         lower = math.ceil(d * (1 - 2 * epsilon) * k)
         below = math.ceil(d * (1 - epsilon) * k)
-        for combo, _ in _unions_below(graph._masks, k, below, _fixed=True):
-            if _xor(graph._masks, combo).bit_count() < lower:
-                return combo
-        return None
+
+        def visit(combo, count):
+            if _xor(masks, combo).bit_count() < lower:
+                raise _Stop
+            return below
+
+        return _unions_below(masks, k, below, visit)
 
     hit, checked = first_hit_by_level(scan, n, 1, cap, budget)
     if hit is None:

@@ -13,11 +13,10 @@ does not depend on the interpreter's own RNG.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import index
 
 from .errors import ParseError
 from .graph import BipartiteGraph
-from .subsets import _Value, _setattr
+from .subsets import _Value, _int_field, _setattr
 
 EDGE_LIST = "edge-list"
 MATRIX = "matrix"
@@ -236,15 +235,6 @@ class GenSpec(_Value):
         _setattr(self, "n", n)
         _setattr(self, "d", d)
         _setattr(self, "seed", seed)
-
-
-def _int_field(name: str, value) -> int:
-    """``operator.index`` of a field: a bool becomes 0 or 1; a float or str
-    is refused with a TypeError that names the field."""
-    try:
-        return index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
 
 
 def random_right_regular(spec: GenSpec) -> BipartiteGraph:

@@ -42,7 +42,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
 from itertools import chain, combinations, islice
-from operator import attrgetter, xor
+from operator import attrgetter, index, xor
 
 from .errors import CapabilityError
 
@@ -104,6 +104,15 @@ class _Value:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
 
+def _int_field(name: str, value) -> int:
+    """``operator.index`` of a field: a bool becomes 0 or 1; a float or str
+    is refused with a TypeError that names the field."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}") from None
+
+
 class RightSubset(_Value):
     """A subset of the right vertices [0, n) packed into one int, which is
     also a length-n vector over GF(2) (bit i <-> entry i).
@@ -114,6 +123,8 @@ class RightSubset(_Value):
     _fields = ("n", "bits")
 
     def __init__(self, n: int, bits: int):
+        if type(n) is not int:
+            n = _int_field("n", n)
         if n < 0:
             raise ValueError(f"universe size must be >= 0, got {n}")
         if bits < 0 or bits >> n:
@@ -284,33 +295,51 @@ def _xor(c: Sequence[int], positions: Iterable[int]) -> int:
     return reduce(xor, map(c.__getitem__, positions), 0)
 
 
-def _unions_below(masks: Sequence[int], k: int, bound, *, _fixed: bool = False):
-    """Each k-combination of positions of ``masks``, in lex order, whose
-    union (OR) has fewer than ``bound`` set bits, as (positions, bit count).
+class _Stop(Exception):
+    """Raised by a visitor of ``_unions_below`` to end the walk at the
+    combination it was just given."""
 
-    ``bound`` falls to the count of each yield, so every yield is strictly
-    below the last, unless ``_fixed`` holds it. Unions only grow as
-    positions are added, so a prefix whose union has ``bound`` bits has no
-    leaf below the bound and is cut; each leaf is visited at most once.
+
+def _unions_below(masks: Sequence[int], k: int, bound, visit) -> tuple[int, ...] | None:
+    """Walk the k-combinations of positions of ``masks`` in lex order and
+    call ``visit(combo, count)`` on each whose union (OR) has ``count`` <
+    ``bound`` set bits.
+
+    ``combo`` is one list that the walk rewrites, so a visitor copies it to
+    keep it. ``visit`` returns the bound for the rest of the walk, or raises
+    ``_Stop`` to end it at once; the walk then returns ``combo`` as a tuple,
+    and otherwise None. Unions only grow as positions are added, so a prefix
+    whose union has ``bound`` bits has no leaf below the bound and is cut;
+    each leaf is evaluated at most once.
     """
     u = len(masks)
     combo = [0] * k
+    last = k - 1
 
-    def walk(start: int, acc: int, depth: int):
+    def walk(start: int, acc: int, depth: int) -> None:
         nonlocal bound
-        for j in range(start, u - k + depth + 1):
-            union = acc | masks[j]
-            count = union.bit_count()
-            if count >= bound:
-                continue
-            combo[depth] = j
-            if depth == k - 1:
-                bound = bound if _fixed else count
-                yield tuple(combo), count
-            else:
-                yield from walk(j + 1, union, depth + 1)
+        if depth == last:
+            for j in range(start, u):
+                count = (acc | masks[j]).bit_count()
+                if count < bound:
+                    combo[last] = j
+                    bound = visit(combo, count)
+        else:
+            for j in range(start, u - last + depth):
+                union = acc | masks[j]
+                if union.bit_count() < bound:
+                    combo[depth] = j
+                    walk(j + 1, union, depth + 1)
 
-    return walk(0, 0, 0)
+    try:
+        walk(0, 0, 0)
+    except _Stop:
+        return tuple(combo)
+    return None
+
+
+def _stop(combo, count):
+    raise _Stop
 
 
 def scan_union_below(
@@ -324,17 +353,23 @@ def scan_union_below(
     every combination meets the requirement."""
     if k == 0:
         return () if min_required > 0 else None
-    hit = next(_unions_below([masks[v] for v in universe], k, min_required), None)
-    return None if hit is None else tuple(universe[i] for i in hit[0])
+    hit = _unions_below([masks[v] for v in universe], k, min_required, _stop)
+    return None if hit is None else tuple(universe[i] for i in hit)
 
 
 def level_min_union(masks: Sequence[int], n: int, k: int) -> int | None:
     """Minimum popcount of the mask union over all k-subsets of [0, n)."""
     if k == 0 or k > n:
         return None
-    # Each yield is strictly below the last, so the last one is the minimum.
-    for _, best in _unions_below(masks[:n], k, math.inf):
-        pass
+    best = None
+
+    def lower(combo, count):
+        # Each visit is strictly below the last, so the last one is the minimum.
+        nonlocal best
+        best = count
+        return count
+
+    _unions_below(masks[:n], k, math.inf, lower)
     return best
 
 

@@ -332,6 +332,28 @@ def test_profile_max_size(capsys, argv, status, out, err):
     assert run(capsys, "profile", "figure1", *argv) == (status, out, err)
 
 
+def test_expansion_workload_bytes_are_pinned(tmp_path, capsys):
+    # The benchmark's expansion jobs on one of its graphs: a profile up to
+    # size 7 of 24, then verify at the best alpha (verified) and at alpha 1
+    # (refuted at a pair), each one --json line.
+    path = tmp_path / "expansion.edges"
+    graph = random_right_regular(GenSpec(60, 24, 4, seed=10451216379200822465))
+    path.write_text(serialize_graph(graph), encoding="utf-8")
+    for argv, status, out in (
+        (["profile", "--gamma", "7/24"], 0,
+         '{"best_alpha": "15/28", "d": 4, "gamma": "7/24", '
+         '"min_neighbors": [4, 6, 8, 10, 11, 13, 15], "n": 24}\n'),
+        (["verify", "--gamma", "7/24", "--alpha", "15/28"], 0,
+         '{"alpha": "15/28", "d": 4, "gamma": "7/24", "m": 60, "n": 24, '
+         '"verified": true, "violation": null}\n'),
+        (["verify", "--gamma", "7/24", "--alpha", "1"], 0,
+         '{"alpha": "1", "d": 4, "gamma": "7/24", "m": 60, "n": 24, '
+         '"verified": false, "violation": {"indices": [0, 3], "labels": [61, 64], '
+         '"neighbors": 7, "required": "8"}}\n'),
+    ):
+        assert run(capsys, argv[0], str(path), *argv[1:], "--json") == (status, out, "")
+
+
 def test_bound_json_round_trips(capsys):
     status, out, _ = run(
         capsys, "bound", "--gamma", "1/2", "--epsilon", "1/3", "--n", "4", "--json"

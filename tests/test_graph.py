@@ -2,6 +2,7 @@
 exhaustive expansion verification."""
 
 import json
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -121,6 +122,21 @@ def test_bool_neighbors_are_plain_ints():
     assert parse_graph(serialize_graph(graph)) == graph
 
 
+def test_bool_vertex_counts_are_plain_ints():
+    # A count that is not an int would reach the header, where the parser
+    # refuses "True 1"; as 0 or 1 the graph round-trips.
+    graph = BipartiteGraph(True, True, ((0,),))
+    assert (graph.m, graph.n) == (1, 1) and {type(graph.m), type(graph.n)} == {int}
+    assert serialize_graph(graph) == "1 1\n0 0\n"
+    assert parse_graph(serialize_graph(graph)) == graph
+    for fmt in ("edge-list", "matrix"):
+        assert parse_graph(serialize_graph(graph, fmt), fmt) == graph
+    subset = RightSubset(True, 1)
+    assert subset.n == 1 and type(subset.n) is int and subset == RightSubset(1, 1)
+    matrix = Gf2Matrix(True, False, ())
+    assert (matrix.rows, matrix.cols) == (1, 0) and {type(matrix.rows), type(matrix.cols)} == {int}
+
+
 def test_bool_gen_fields_are_plain_ints():
     spec = GenSpec(3, True, True, False)
     assert (spec.m, spec.n, spec.d, spec.seed) == (3, 1, 1, 0)
@@ -216,6 +232,36 @@ def test_profile_invariants_small_sweep():
     full = expansion_profile(G, G.n)
     for s in range(1, G.n + 1):
         assert 1 <= full.min_at(s) <= G.d * s
+
+
+def test_union_searches_match_brute_force_seeded():
+    # check_expansion and expansion_profile run the prefix-cut union walk
+    # level by level; a plain walk over every subset, counting neighbours
+    # from the adjacency lists, must give the same first violation by size
+    # and then lex, the same verified outcome and the same minima.
+    cases = verified = deep = 0
+    for seed in range(40):
+        d = 2 + seed % 3
+        n = 6 + seed % 7
+        graph = random_right_regular(GenSpec(d + 2 + seed % 9, n, d, seed))
+        walk = [(combo, len({i for j in combo for i in graph.right_adj[j]}))
+                for k in range(1, n + 1) for combo in combinations(range(n), k)]
+        mins = tuple(min(c for combo, c in walk if len(combo) == k) for k in range(1, n + 1))
+        assert expansion_profile(graph, n).min_neighbors == mins
+        for gamma in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+            cap = min(n, math.floor(gamma * n))
+            for alpha in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)):
+                first = next((RightSubset.of(n, combo) for combo, c in walk
+                              if len(combo) <= cap and c < d * alpha * len(combo)), None)
+                cert = check_expansion(graph, gamma, alpha)
+                assert cert.violation == first
+                assert cert.verified == (first is None)
+                cases += 1
+                verified += cert.verified
+                deep += first is not None and len(first) > 2
+    assert cases == 480
+    # Both outcomes occur, and violations past the pair level too.
+    assert verified >= 80 and deep >= 80
 
 
 def test_odd_neighborhood_bounds_demo():
@@ -423,6 +469,11 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "^seed must be an int, not float$"),
         (lambda: GenSpec(3.0, 2, 1, 0), TypeError, "^m must be an int, not float$"),
         (lambda: GenSpec(m=3, n="2", d=1, seed=0), TypeError, "^n must be an int, not str$"),
+        (lambda: BipartiteGraph(2.5, 1, ((0,),)), TypeError, "^m must be an int, not float$"),
+        (lambda: BipartiteGraph(1, "1", ((0,),)), TypeError, "^n must be an int, not str$"),
+        (lambda: RightSubset(1.0, 0), TypeError, "^n must be an int, not float$"),
+        (lambda: Gf2Matrix(2.0, 0, ()), TypeError, "^rows must be an int, not float$"),
+        (lambda: Gf2Matrix(1, "0", ()), TypeError, "^cols must be an int, not str$"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
          "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
@@ -436,7 +487,8 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "graph-str-index",
          "from_edges-right-index", "neighbor_set-universe", "describe-verified",
          "min_at-size", "bounds-irregular", "serialize-unknown-format",
-         "genspec-float-seed", "genspec-float-m", "genspec-str-n"],
+         "genspec-float-seed", "genspec-float-m", "genspec-str-n", "graph-float-m",
+         "graph-str-n", "subset-float-n", "matrix-float-rows", "matrix-str-cols"],
 )
 def test_parameter_rules_refuse(call, error, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be

@@ -188,12 +188,48 @@ def test_union_scans_match_brute_force(case):
         expected = (min(union_size(masks, c) for c in combinations(range(n), k))
                     if 1 <= k <= n else None)
         assert level_min_union(masks, n, k) == expected
-    # With the bound held fixed the walk yields every combination below it.
+    # A visitor that holds the bound fixed is called on every combination
+    # below it, in lex order, and a walk that no visitor stops returns None.
     for k in range(1, n + 1):
         for bound in range(width + 2):
             expected = [(c, union_size(masks, c)) for c in combinations(range(n), k)
                         if union_size(masks, c) < bound]
-            assert list(subsets._unions_below(masks, k, bound, _fixed=True)) == expected
+            visits = []
+
+            def visit(combo, count):
+                visits.append((tuple(combo), count))
+                return bound
+
+            assert subsets._unions_below(masks, k, bound, visit) is None
+            assert visits == expected
+
+
+def test_union_walk_stops_at_once():
+    # A visitor that raises _Stop ends the walk on the combination it was
+    # given: the walk returns it and reads no mask after the one that
+    # completed it.
+    reads = []
+
+    class ReadMasks(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    masks = ReadMasks([0b0011, 0b0110, 0b1100, 0b1001, 0b0101])
+    for k in range(1, 6):
+        combos = list(combinations(range(5), k))
+        for stop_at, combo in enumerate(combos):
+            reads.clear()
+            visits = []
+
+            def visit(seen, count):
+                visits.append(tuple(seen))
+                if len(visits) > stop_at:
+                    raise subsets._Stop
+                return math.inf
+
+            assert subsets._unions_below(masks, k, math.inf, visit) == combo
+            assert visits == combos[:stop_at + 1] and reads[-1] == combo[-1]
 
 
 # The benchmark's tracer binds these functions' arguments by name, so a
