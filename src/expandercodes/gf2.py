@@ -32,6 +32,9 @@ class Gf2Matrix(_Value):
         if len(columns) != cols:
             raise ValueError(f"expected {cols} columns, got {len(columns)}")
         for j, col in enumerate(columns):
+            if type(col) is not int:  # a bool becomes 0 or 1, a float or str fails
+                columns = tuple(_int_field(f"column {k}", c) for k, c in enumerate(columns))
+                return self.__init__(rows, cols, columns)
             if col < 0 or col >> rows:
                 raise ValueError(f"column {j} has bits outside [0, {rows})")
         _setattr(self, "rows", rows)
@@ -51,11 +54,14 @@ def xor_columns(matrix: Gf2Matrix, subset: RightSubset) -> int:
 
 
 def _column_eliminate(columns: Sequence[int]):
-    """Gauss-Jordan sweep over columns with lowest-index row pivoting.
+    """Gauss-Jordan sweep over columns, pivoting on a column's highest set
+    row, which ``bit_length`` finds without building a column-sized int.
 
     Returns (pivot count, kernel combinations). Each kernel entry is an int
     over column indices recording a combination of original columns that
     sums to zero; entries appear in ascending order of their free column.
+    Which columns are free, and their combinations, depend only on the
+    spans of earlier columns, not on which rows the pivots sit on.
     """
     pivots: list[list[int]] = []  # [pivot_row, reduced_column, combination]
     kernel: list[int] = []
@@ -69,7 +75,7 @@ def _column_eliminate(columns: Sequence[int]):
         if cur == 0:
             kernel.append(keep)
             continue
-        row = (cur & -cur).bit_length() - 1
+        row = cur.bit_length() - 1
         for p in pivots:
             if (p[1] >> row) & 1:
                 p[1] ^= cur
@@ -89,9 +95,8 @@ def nullspace_basis(matrix: Gf2Matrix) -> list[RightSubset]:
     over the matrix's ``cols`` columns: the set of code bits of one
     codeword.
 
-    Deterministic for a given matrix: the elimination pivots on the lowest
-    available row index and emits one basis vector per free column, in
-    ascending column order.
+    Deterministic for a given matrix: one basis vector per free column (one
+    in the span of the columns before it), in ascending column order.
     """
     _, kernel = _column_eliminate(matrix.columns)
     return [RightSubset(matrix.cols, bits) for bits in kernel]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import cached_property
 from operator import index
 
 from .gf2 import Gf2Matrix, nullspace_basis
@@ -88,6 +87,7 @@ class BipartiteGraph(_Value):
     """
 
     _fields = ("m", "n", "right_adj")
+    _biadjacency: Gf2Matrix | None = None  # stored by the first biadjacency() call
 
     def __init__(self, m: int, n: int, right_adj: Iterable[Iterable[int]]):
         if not type(m) is type(n) is int:
@@ -117,21 +117,6 @@ class BipartiteGraph(_Value):
         _setattr(self, "right_adj", adj)
         _setattr(self, "d", degrees.pop() if len(degrees) == 1 else None)
 
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        """Column j of the biadjacency matrix: bit i set for each neighbor i."""
-        masks = []
-        for neigh in self.right_adj:
-            mask = 0
-            for i in neigh:  # not 0 | (1 << i), a second m-bit int
-                mask = mask | 1 << i if mask else 1 << i
-            masks.append(mask)
-        return tuple(masks)
-
-    @cached_property
-    def _biadjacency(self) -> Gf2Matrix:
-        return Gf2Matrix(self.m, self.n, self._masks)
-
     @classmethod
     def from_edges(cls, m: int, n: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -154,12 +139,23 @@ class BipartiteGraph(_Value):
         S is a codeword.
         """
         self._check_subset(subset)
-        return frozenset(bit_indices(_xor(self._masks, subset.indices)))
+        return frozenset(bit_indices(_xor(self.biadjacency().columns, subset.indices)))
 
     def biadjacency(self) -> Gf2Matrix:
         """m x n matrix with entry (i, j) = 1 iff left i is adjacent to right j,
-        built once per graph."""
-        return self._biadjacency
+        packed and checked on the first call and stored for every later one."""
+        matrix = self._biadjacency
+        if matrix is not None:
+            return matrix
+        columns = []
+        for neigh in self.right_adj:
+            mask = 0
+            for i in neigh:  # not 0 | (1 << i), a second m-bit int
+                mask = mask | 1 << i if mask else 1 << i
+            columns.append(mask)
+        matrix = Gf2Matrix(self.m, self.n, tuple(columns))
+        _setattr(self, "_biadjacency", matrix)
+        return matrix
 
     def _check_subset(self, subset: RightSubset) -> None:
         if subset.n != self.n:
@@ -304,7 +300,7 @@ def check_expansion(
     cap = size_cap(gamma, n)
 
     def scan(k):
-        return scan_union_below(graph._masks, range(n), k, math.ceil(d * alpha * k))
+        return scan_union_below(graph.biadjacency().columns, range(n), k, math.ceil(d * alpha * k))
 
     hit, _ = first_hit_by_level(scan, n, 1, cap, budget)
     violation = None if hit is None else RightSubset.of(n, hit)
@@ -321,7 +317,8 @@ def expansion_profile(
         raise ValueError(f"s_max must be in [0, {graph.n}], got {s_max}")
     # Every level is walked, so the whole range is charged up front.
     charge(graph.n, 1, s_max, budget)
-    mins = tuple(level_min_union(graph._masks, graph.n, k) for k in range(1, s_max + 1))
+    masks = graph.biadjacency().columns
+    mins = tuple(level_min_union(masks, graph.n, k) for k in range(1, s_max + 1))
     return ExpansionProfile(graph.n, graph.d, mins)
 
 
@@ -338,7 +335,7 @@ def odd_neighborhood_bounds(graph: BipartiteGraph, subset: RightSubset, epsilon)
         raise ValueError("bounds require a nonempty subset")
     graph._check_subset(subset)
     lower = graph.d * (1 - 2 * epsilon) * len(subset)
-    odd = _xor(graph._masks, subset.indices).bit_count()
+    odd = _xor(graph.biadjacency().columns, subset.indices).bit_count()
     nbhd = len(graph.neighbor_set(subset))
     return lower, odd, nbhd
 
@@ -413,7 +410,7 @@ def find_bounds_violation(
         certificate.require(gamma, epsilon, graph)
         return BoundsSweep(gamma, epsilon, cap, count_sizes(n, 1, cap), None)
 
-    masks = graph._masks
+    masks = graph.biadjacency().columns
 
     def scan(k):
         # For an integer count c, c < x exactly when c < ceil(x).

@@ -12,6 +12,7 @@ does not depend on the interpreter's own RNG.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 
 from .errors import ParseError
@@ -32,13 +33,24 @@ def figure1() -> BipartiteGraph:
     return BipartiteGraph(5, 4, _DEMO_ADJ)
 
 
+# A count or index in a graph file: ASCII digits after an optional minus.
+# int() also takes "1_0", "+1" and other scripts' digits.
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _ascii_int(token: str) -> int:
+    if _INT.fullmatch(token) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _header(lineno: int, parts: list[str], names: str, what: str) -> tuple[int, int]:
     """The two counts of an "a b" header line; ``names`` spells the header
     in the error sentence ("m n" or "rows cols"), ``what`` names the counts."""
     if len(parts) != 2:
         raise ParseError(f"line {lineno}: expected header '{names}'")
     try:
-        a, b = int(parts[0]), int(parts[1])
+        a, b = _ascii_int(parts[0]), _ascii_int(parts[1])
     except ValueError:
         raise ParseError(f"line {lineno}: expected header '{names}'") from None
     if a < 0 or b < 0:
@@ -61,13 +73,15 @@ def parse_edge_list(text: str) -> BipartiteGraph:
     # Edge -> its line number: one lookup refuses a repeat, and the keys
     # are the edges in file order.
     edges: dict[tuple[int, int], int] = {}
+    # On ASCII text with no "_" or "+", int() takes just what _INT matches.
+    number = int if text.isascii() and "_" not in text and "+" not in text else _ascii_int
     for lineno, raw in rows:
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
         try:
             a, b = parts
-            edge = left, right = int(a), int(b)
+            edge = left, right = number(a), number(b)
         except ValueError:
             raise ParseError(f"line {lineno}: expected edge 'left right'") from None
         if not 0 <= left < m:

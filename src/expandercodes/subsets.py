@@ -74,7 +74,7 @@ class _Value:
     attribute raises AttributeError. Each type's ``__init__`` validates its
     arguments and stores them with ``_setattr``, which bypasses that
     refusal. They live in the instance ``__dict__`` like any attribute, so
-    ``copy``, ``pickle`` and ``functools.cached_property`` work unchanged.
+    ``copy`` and ``pickle`` work unchanged.
     """
 
     _fields: tuple[str, ...] = ()
@@ -127,6 +127,8 @@ class RightSubset(_Value):
             n = _int_field("n", n)
         if n < 0:
             raise ValueError(f"universe size must be >= 0, got {n}")
+        if type(bits) is not int:
+            bits = _int_field("bits", bits)
         if bits < 0 or bits >> n:
             raise ValueError("subset has bits outside the universe [0, n)")
         _setattr(self, "n", n)
@@ -136,6 +138,8 @@ class RightSubset(_Value):
     def of(cls, n: int, indices: Iterable[int]) -> "RightSubset":
         bits = 0
         for i in indices:
+            if type(i) is not int:
+                i = _int_field("right-vertex index", i)
             if not 0 <= i < n:
                 raise IndexError(f"right-vertex index {i} out of range [0, {n})")
             bits |= 1 << i

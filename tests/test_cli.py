@@ -594,6 +594,22 @@ def test_malformed_file_is_exit_two(tmp_path, capsys):
     assert "duplicate edge" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1_0 1\n0 0\n", "line 1: expected header 'm n'"),
+        ("\u0663 1\n0 0\n", "line 1: expected header 'm n'"),
+        ("3 1\n+1 0\n", "line 2: expected edge 'left right'"),
+    ],
+    ids=["underscore", "arabic-indic-digit", "plus-sign"],
+)
+def test_non_ascii_integer_file_is_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "graph.edges"
+    path.write_text(text, encoding="utf-8")
+    status, out, err = run(capsys, "mindist", str(path))
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

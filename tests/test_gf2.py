@@ -1,5 +1,7 @@
 """GF(2) core: column XOR, rank, null space, minimal dependence."""
 
+import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expandercodes import (
+    BipartiteGraph,
     GenSpec,
     Gf2Matrix,
     RightSubset,
@@ -163,6 +166,25 @@ def test_nullspace_systematic_seeded():
 @given(matrices(max_rows=4, max_cols=8))
 def test_nullspace_systematic(matrix):
     assert_systematic_on_free_columns(matrix)
+
+
+def test_elimination_builds_no_column_copies():
+    # Two right vertices on the last of 10^8 left vertices: two equal
+    # 12.5 MB columns. Finding a pivot row builds no int of a column's size;
+    # reducing the second column to zero is one XOR, whose result is
+    # column-sized until it shrinks to 0. Beside an empty column nothing is
+    # XORed, so nothing column-sized is built at all.
+    m = 10**8
+    for second, kernel, copies in (((m - 1,), 0b11, 1.5), ((), 0b10, 0)):
+        matrix = BipartiteGraph(m, 2, ((m - 1,), second)).biadjacency()
+        tracemalloc.start()
+        try:
+            assert rank(matrix) == 1
+            assert nullspace_basis(matrix) == [RightSubset(2, kernel)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copies * sys.getsizeof(matrix.columns[0]) + (1 << 20)
 
 
 @settings(max_examples=60)

@@ -137,6 +137,16 @@ def test_bool_vertex_counts_are_plain_ints():
     assert (matrix.rows, matrix.cols) == (1, 0) and {type(matrix.rows), type(matrix.cols)} == {int}
 
 
+def test_bool_bit_fields_are_plain_ints():
+    subset = RightSubset(3, True)
+    assert repr(subset) == "RightSubset(n=3, bits=1)" and type(subset.bits) is int
+    assert RightSubset.of(3, [True]) == RightSubset(3, 0b10)
+    matrix = Gf2Matrix(2, 2, (True, False))
+    assert matrix.columns == (1, 0) and {type(c) for c in matrix.columns} == {int}
+    with pytest.raises(ValueError, match="column 1 has bits outside"):
+        Gf2Matrix(1, 2, (True, 2))
+
+
 def test_bool_gen_fields_are_plain_ints():
     spec = GenSpec(3, True, True, False)
     assert (spec.m, spec.n, spec.d, spec.seed) == (3, 1, 1, 0)
@@ -474,6 +484,12 @@ def test_bounds_sweep_matches_brute_force_oracle():
         (lambda: RightSubset(1.0, 0), TypeError, "^n must be an int, not float$"),
         (lambda: Gf2Matrix(2.0, 0, ()), TypeError, "^rows must be an int, not float$"),
         (lambda: Gf2Matrix(1, "0", ()), TypeError, "^cols must be an int, not str$"),
+        (lambda: RightSubset(3, 1.0), TypeError, "^bits must be an int, not float$"),
+        (lambda: RightSubset(3, "1"), TypeError, "^bits must be an int, not str$"),
+        (lambda: RightSubset.of(3, [0, 1.0]), TypeError,
+         "^right-vertex index must be an int, not float$"),
+        (lambda: Gf2Matrix(2, 1, (1.0,)), TypeError, "^column 0 must be an int, not float$"),
+        (lambda: Gf2Matrix(2, 2, (1, "1")), TypeError, "^column 1 must be an int, not str$"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
          "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
@@ -488,7 +504,9 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "from_edges-right-index", "neighbor_set-universe", "describe-verified",
          "min_at-size", "bounds-irregular", "serialize-unknown-format",
          "genspec-float-seed", "genspec-float-m", "genspec-str-n", "graph-float-m",
-         "graph-str-n", "subset-float-n", "matrix-float-rows", "matrix-str-cols"],
+         "graph-str-n", "subset-float-n", "matrix-float-rows", "matrix-str-cols",
+         "subset-float-bits", "subset-str-bits", "subset-of-float-index",
+         "matrix-float-column", "matrix-str-column"],
 )
 def test_parameter_rules_refuse(call, error, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be

@@ -180,6 +180,29 @@ def test_parse_errors_are_line_numbered():
         parse_graph("1 1\n", "csv")
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "+1", "\uff11", "1.0", "0x1"])
+def test_graph_file_integers_are_ascii_digits(token):
+    # int() takes the first four; a count or index is -?[0-9]+ alone.
+    with pytest.raises(ParseError, match="^line 1: expected header 'm n'$"):
+        parse_edge_list(f"{token} 1\n0 0\n")
+    with pytest.raises(ParseError, match="^line 1: expected header 'rows cols'$"):
+        parse_matrix(f"1 {token}\n1\n")
+    for edge in (f"{token} 0", f"0 {token}"):
+        with pytest.raises(ParseError, match="^line 3: expected edge 'left right'$"):
+            parse_edge_list(f"# a comment\n2 2\n{edge}\n")
+
+
+def test_graph_file_integer_rule_keeps_ranges_and_comments():
+    # Neither a sign, an underscore nor another script in a comment changes
+    # what is read, and a negative value keeps its range message.
+    for comment in ("", " # +1 1_0 \u0663"):
+        assert parse_edge_list(f"2 2{comment}\n1 0\n-0 01\n") == BipartiteGraph(2, 2, ((1,), (0,)))
+        with pytest.raises(ParseError, match="^line 1: vertex counts must be >= 0$"):
+            parse_edge_list(f"-1 2{comment}\n")
+        with pytest.raises(ParseError, match=r"^line 2: left index -1 out of range \[0, 2\)$"):
+            parse_edge_list(f"2 2{comment}\n-1 0\n")
+
+
 def test_splitmix64_reference_vector():
     # first five outputs of the published splitmix64 algorithm at seed 1234567
     rng = SplitMix64(1234567)
