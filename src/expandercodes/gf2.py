@@ -4,8 +4,9 @@ A column is a Python int used as a bitset (bit i <-> row i), so adding two
 columns mod 2 is one arbitrary-precision XOR. A vector indexed by the
 columns, such as a codeword, is a ``RightSubset``: the set of columns it
 selects. Rank, null space and dependence checks all reduce to XOR-ing
-selected columns, and ``xor_columns`` sums them with ``subsets._xor``,
-the helper the XOR-zero scan and the odd neighborhood use too.
+selected columns: the elimination brings each column to echelon form by
+its highest set row, and ``xor_columns`` sums a subset's columns with
+``subsets._xor``, the helper the odd neighborhood uses too.
 
 The module is algebra only: the matrix text format is read and written by
 ``instances``, straight into and out of a ``BipartiteGraph``.
@@ -54,33 +55,32 @@ def xor_columns(matrix: Gf2Matrix, subset: RightSubset) -> int:
 
 
 def _column_eliminate(columns: Sequence[int]):
-    """Gauss-Jordan sweep over columns, pivoting on a column's highest set
-    row, which ``bit_length`` finds without building a column-sized int.
+    """Reduce each column, in order, to echelon form by its highest set row:
+    while that row holds a pivot, XOR the pivot's column in, which clears
+    the row and sets none above it. ``bit_length`` finds the row without
+    building a column-sized int, and no pivot is reduced again afterwards.
 
     Returns (pivot count, kernel combinations). Each kernel entry is an int
     over column indices recording a combination of original columns that
     sums to zero; entries appear in ascending order of their free column.
-    Which columns are free, and their combinations, depend only on the
-    spans of earlier columns, not on which rows the pivots sit on.
+    A free column's entry holds that column and the unique combination of
+    earlier pivot columns equal to it, so the entries, like the rank,
+    depend only on the spans of earlier columns.
     """
-    pivots: list[list[int]] = []  # [pivot_row, reduced_column, combination]
+    pivots: dict[int, tuple[int, int]] = {}  # row -> (reduced column, combination)
     kernel: list[int] = []
-    for j, original in enumerate(columns):
-        cur = original
+    for j, cur in enumerate(columns):
         keep = 1 << j
-        for p in pivots:
-            if (cur >> p[0]) & 1:
-                cur ^= p[1]
-                keep ^= p[2]
-        if cur == 0:
+        while cur:
+            row = cur.bit_length() - 1
+            pivot = pivots.get(row)
+            if pivot is None:
+                pivots[row] = cur, keep
+                break
+            cur ^= pivot[0]
+            keep ^= pivot[1]
+        else:
             kernel.append(keep)
-            continue
-        row = cur.bit_length() - 1
-        for p in pivots:
-            if (p[1] >> row) & 1:
-                p[1] ^= cur
-                p[2] ^= keep
-        pivots.append([row, cur, keep])
     return len(pivots), kernel
 
 

@@ -237,11 +237,14 @@ def min_distance_kernel(
                 best_weight = weight
                 best_bits = word
 
-    for r in range(1, k + 1):
-        if r > best_weight:
-            break
-        charge(k, 1, r, budget)
-        walk(0, 0, r)
+    try:
+        for r in range(1, k + 1):
+            if r > best_weight:
+                break
+            charge(k, 1, r, budget)
+            walk(0, 0, r)
+    finally:
+        del walk  # the closure refers to itself
     return MinDistanceResult(RightSubset(matrix.cols, best_bits), "kernel", (1 << k) - 1)
 
 

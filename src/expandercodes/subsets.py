@@ -6,9 +6,11 @@ package.
 vertices, the indicator vector of a candidate codeword and the mod-2 sum
 of S's biadjacency columns are one object: S is a codeword exactly when
 that sum is zero. ``nullspace_basis`` returns its basis as RightSubsets,
-and the witness of a distance result is one. ``_xor`` sums selected
-columns, for the XOR-zero scan, ``gf2.xor_columns`` and the odd
-neighborhood alike.
+and the witness of a distance result is one. ``_xor`` sums the columns of
+one subset, for ``gf2.xor_columns``, the odd neighborhood and the bounds
+sweep. The XOR-zero scan and its collision test sum many subsets instead,
+each with one XOR from a subset one smaller, inside a comprehension or
+a recursive walk rather than a call per subset.
 
 Order contract: subsets are visited by increasing cardinality and, within
 one cardinality, lexicographically on the sorted index tuple (the order
@@ -30,9 +32,9 @@ zero-sum k-set splits into disjoint halves of sizes floor(k/2) and
 ceil(k/2) with equal XOR, so a level where no two distinct subsets of
 those sizes share an XOR is empty. The test runs after the level is
 charged, so a level it rules out is still charged in full. Its memory is
-the XORs of the half-size subsets, which it runs only where they number at
-most the level's own C(n, k). It grows them as its walk climbs, so each
-walk takes a new one.
+the XORs of the half-size subsets and a set of the larger size's, which it
+builds only where they number at most the level's own C(n, k). It grows
+them as its walk climbs, so each walk takes a new one.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from operator import attrgetter, index, xor
 
 from .errors import CapabilityError
@@ -209,6 +211,9 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
     falls until C(u, t) <= C(u - t, k - t), so the table never outgrows the
     head walk it serves and a level costs at most twice C(u, k); t = 0 is a
     plain walk over every k-combination.
+
+    Each subset XOR is one XOR from a shorter one: the tail XORs come from
+    the tail XORs one size down, and the head walk carries its prefix XOR.
     """
     u = len(universe)
     if k == 0:
@@ -221,24 +226,54 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
         t -= 1
     h = k - t
     # max(A) >= h - 1, so a usable tail starts at position h or later.
+    # ``sums`` holds the XORs of the r-combinations of range(h, u) in lex
+    # order. Those whose first position is i are c[i] XOR each
+    # (r - 1)-combination of range(i + 1, u): the last C(u - 1 - i, r - 1)
+    # entries one size down.
+    sums = [0]
+    for r in range(t):
+        end = len(sums)
+        sums = [
+            ci ^ x
+            for i in range(h, u)
+            for ci in (c[i],)
+            for x in sums[end - math.comb(u - 1 - i, r):]
+        ]
     table: dict[int, list[tuple[int, ...]]] = {}
-    for tail in combinations(range(h, u), t):
-        table.setdefault(_xor(c, tail), []).append(tail)
+    for key, tail in zip(sums, combinations(range(h, u), t)):
+        table.setdefault(key, []).append(tail)
 
     def start(tail):
         # The empty tail (t = 0) fits after every head.
         return tail[0] if tail else u
 
-    # A head is a prefix plus its last element j, so XOR(A) costs one XOR.
-    for prefix in combinations(range(u - t - 1), h - 1):
-        acc = _xor(c, prefix)
-        for j in range(prefix[-1] + 1 if prefix else 0, u - t):
-            tails = table.get(acc ^ c[j])
-            if tails is not None:
-                i = bisect_right(tails, j, key=start)
-                if i < len(tails):
-                    return tuple(universe[p] for p in (*prefix, j, *tails[i]))
-    return None
+    stop = u - t
+    last = h - 1
+    head = [0] * h
+
+    def walk(first: int, acc: int, depth: int):
+        # The heads whose positions before ``depth`` are in ``head``, with
+        # XOR ``acc``; returns the tail of the first witness, or None.
+        if depth == last:
+            # Most heads miss, and ``in`` tests for that without a call.
+            for j in range(first, stop):
+                if acc ^ c[j] in table:
+                    tails = table[acc ^ c[j]]
+                    i = bisect_right(tails, j, key=start)
+                    if i < len(tails):
+                        head[last] = j
+                        return tails[i]
+            return None
+        for p in range(first, stop - last + depth):
+            head[depth] = p
+            tail = walk(p + 1, acc ^ c[p], depth + 1)
+            if tail is not None:
+                return tail
+        return None
+
+    tail = walk(0, 0, 0)
+    del walk  # the closure refers to itself
+    return None if tail is None else tuple(universe[p] for p in (*head, *tail))
 
 
 class XorZeroLevels:
@@ -257,17 +292,19 @@ class XorZeroLevels:
     scan of that level.
 
     Memory: the XORs of the subsets of the two half sizes, kept in colex
-    order and grown one size at a time. The test runs only where
-    C(n, ceil(k/2)) <= C(n, k), so they never outnumber the subsets of the
-    level they may skip; past that, every level is scanned.
+    order and grown one size at a time, and a set of the larger size's. The
+    test runs only where C(n, ceil(k/2)) <= C(n, k), so they never
+    outnumber the subsets of the level they may skip; past that, every
+    level is scanned.
     """
 
     def __init__(self, cols: Sequence[int]):
         self.cols = cols
         # ``top`` holds the XORs of the ``size``-subsets and ``below`` those
         # of the (size - 1)-subsets: at size 1, the columns and the empty
-        # set's 0.
-        self.size, self.below, self.top = 1, [0], cols
+        # set's 0. ``seen`` is ``top`` as a set, built by the first of the
+        # two levels that test this size.
+        self.size, self.below, self.top, self.seen = 1, [0], cols, None
 
     def __call__(self, k: int):
         n = len(self.cols)
@@ -275,10 +312,12 @@ class XorZeroLevels:
         if 1 <= k <= n and math.comb(n, half) <= math.comb(n, k):
             while self.size < half:
                 self._grow()
+            if self.seen is None:
+                self.seen = set(self.top)
             if k % 2 == 0:
-                maybe = len(set(self.top)) < len(self.top)
+                maybe = len(self.seen) < len(self.top)
             else:
-                maybe = not set(self.below).isdisjoint(self.top)
+                maybe = not self.seen.isdisjoint(self.below)
             if not maybe:
                 return None
         return scan_xor_zero(self.cols, range(n), k)
@@ -287,10 +326,13 @@ class XorZeroLevels:
         # In colex order the s-subsets of positions below j come first, so
         # the (s + 1)-subsets with largest position j are c[j] XOR a prefix.
         s, top, c = self.size, self.top, self.cols
-        self.below = top
-        self.top = list(chain.from_iterable(
-            map(c[j].__xor__, islice(top, math.comb(j, s))) for j in range(s, len(c))
-        ))
+        self.below, self.seen = top, None
+        self.top = [
+            x ^ cj
+            for j in range(s, len(c))
+            for cj in (c[j],)
+            for x in islice(top, math.comb(j, s))
+        ]
         self.size = s + 1
 
 
@@ -339,6 +381,8 @@ def _unions_below(masks: Sequence[int], k: int, bound, visit) -> tuple[int, ...]
         walk(0, 0, 0)
     except _Stop:
         return tuple(combo)
+    finally:
+        del walk  # the closure refers to itself
     return None
 
 

@@ -354,6 +354,27 @@ def test_expansion_workload_bytes_are_pinned(tmp_path, capsys):
         assert run(capsys, argv[0], str(path), *argv[1:], "--json") == (status, out, "")
 
 
+def test_distance_lowrate_workload_bytes_are_pinned(tmp_path, capsys):
+    # The benchmark's distance-lowrate jobs on the first graph of its seed-1
+    # corpus (dimension 8, distance 6): the subset, kernel and pruned
+    # searches agree on the lex-first witness, each one --json line.
+    path = tmp_path / "lowrate.edges"
+    graph = random_right_regular(GenSpec(18, 26, 5, seed=807013244984872231))
+    path.write_text(serialize_graph(graph), encoding="utf-8")
+    witness = '"witness": {"indices": [0, 4, 7, 8, 10, 17], "labels": [19, 23, 26, 27, 29, 36]}}\n'
+    for argv, out in (
+        (["mindist"],
+         '{"distance": 6, "examined": 112609, "method": "subset", "threshold": null, ' + witness),
+        (["mindist", "--method", "kernel"],
+         '{"distance": 6, "examined": 255, "method": "kernel", "threshold": null, ' + witness),
+        (["profile", "--gamma", "1/13"],
+         '{"best_alpha": "3/5", "d": 5, "gamma": "1/13", "min_neighbors": [5, 6], "n": 26}\n'),
+        (["mindist", "--method", "pruned", "--gamma", "1/13", "--epsilon", "2/5"],
+         '{"distance": 6, "examined": 112258, "method": "pruned", "threshold": "12/5", ' + witness),
+    ):
+        assert run(capsys, argv[0], str(path), *argv[1:], "--json") == (0, out, "")
+
+
 def test_bound_json_round_trips(capsys):
     status, out, _ = run(
         capsys, "bound", "--gamma", "1/2", "--epsilon", "1/3", "--n", "4", "--json"

@@ -187,6 +187,19 @@ def test_elimination_builds_no_column_copies():
         assert peak < copies * sys.getsizeof(matrix.columns[0]) + (1 << 20)
 
 
+def test_elimination_tests_no_row_of_a_wide_column():
+    # A 12.5 MB column whose top row holds no pivot becomes a pivot as it
+    # is: testing a lower pivot's row in it would shift a copy of it.
+    matrix = Gf2Matrix(10**8, 2, (1, 1 << (10**8 - 1)))
+    tracemalloc.start()
+    try:
+        assert rank(matrix) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @settings(max_examples=60)
 @given(matrices(max_rows=5, max_cols=5))
 def test_rank_matches_brute_force(matrix):

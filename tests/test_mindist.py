@@ -1,5 +1,6 @@
 """Minimum-distance methods, pruning, and the certified lower bound."""
 
+import gc
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +19,9 @@ from expandercodes import (
     RightSubset,
     check_expansion,
     distance_lower_bound,
+    expansion_profile,
     figure1,
+    find_bounds_violation,
     is_minimal_dependent,
     min_distance_kernel,
     min_distance_pruned,
@@ -415,3 +418,26 @@ def test_record_shape():
     }
     inf = min_distance_kernel(Gf2Matrix(3, 3, (1, 2, 4))).to_record(3)
     assert inf["distance"] == "infinite" and inf["witness"] is None
+
+
+def test_searches_leave_no_reference_cycles():
+    # Each recursive walk is a closure that calls itself; once the walk
+    # returns, nothing of it should be left for the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in (GenSpec(18, 26, 5, 807013244984872231), GenSpec(12, 19, 3, 7)):
+            graph = random_right_regular(spec)
+            gamma = Fraction(2, graph.n)
+            for search in (
+                lambda: min_distance_kernel(graph.biadjacency()),
+                lambda: check_expansion(graph, gamma, HALF),
+                lambda: check_expansion(graph, gamma, 1),
+                lambda: expansion_profile(graph, 2),
+                lambda: find_bounds_violation(graph, gamma, Fraction(2, 5)),
+                lambda: min_distance_subset(graph),
+            ):
+                search()
+                assert gc.collect() == 0
+    finally:
+        gc.enable()
