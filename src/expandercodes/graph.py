@@ -94,7 +94,12 @@ class BipartiteGraph(_Value):
             m, n = map(_int_field, ("m", "n"), (m, n))
         if m < 0 or n < 0:
             raise ValueError("vertex counts must be >= 0")
-        adj = tuple(map(tuple, map(sorted, right_adj)))
+        try:
+            adj = tuple(map(tuple, map(sorted, right_adj)))
+        except TypeError:  # sorted() compared an int with, say, a str
+            for neigh in right_adj:  # where the lists can be read again, index() names it
+                list(map(index, neigh))
+            raise
         if len(adj) != n:
             raise ValueError(f"expected {n} right adjacency lists, got {len(adj)}")
         for j, neigh in enumerate(adj):
@@ -482,4 +487,4 @@ def find_partition_violation(
         # Gray codes i - 1 and i differ in the lowest set bit of i.
         acc ^= basis[(i & -i).bit_length() - 1]
         partitions += (1 << (acc.bit_count() - 1)) - 1
-    return PartitionSweep(count_sizes(graph.n, 1, graph.n), codewords, partitions)
+    return PartitionSweep((1 << graph.n) - 1, codewords, partitions)

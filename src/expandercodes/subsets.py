@@ -8,9 +8,10 @@ of S's biadjacency columns are one object: S is a codeword exactly when
 that sum is zero. ``nullspace_basis`` returns its basis as RightSubsets,
 and the witness of a distance result is one. ``_xor`` sums the columns of
 one subset, for ``gf2.xor_columns``, the odd neighborhood and the bounds
-sweep. The XOR-zero scan and its collision test sum many subsets instead,
-each with one XOR from a subset one smaller, inside a comprehension or
-a recursive walk rather than a call per subset.
+sweep. The XOR-zero scan and its collision test sum many subsets with no
+call per subset: ``_sums_up`` lists the XORs of one size in lex order,
+each one XOR from the list one size down, and the head walk carries its
+prefix XOR.
 
 Order contract: subsets are visited by increasing cardinality and, within
 one cardinality, lexicographically on the sorted index tuple (the order
@@ -43,7 +44,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations
 from operator import attrgetter, index, xor
 
 from .errors import CapabilityError
@@ -198,6 +199,15 @@ def charge(n: int, lo: int, k: int, budget: int) -> None:
         )
 
 
+def _sums_up(c: Sequence[int], start: int, sums: Sequence[int], r: int) -> list[int]:
+    """XORs of the (r + 1)-combinations of positions range(start, len(c)) in
+    lex order, from ``sums``, those of the r-combinations: the ones that
+    start at i are c[i] XOR the last C(len(c) - 1 - i, r) entries of sums."""
+    u, end = len(c), len(sums)
+    return [ci ^ x for i in range(start, u) for ci in (c[i],)
+            for x in sums[end - math.comb(u - 1 - i, r):]]
+
+
 def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
     """First k-combination of ``universe`` (lex order) whose selected columns
     XOR to zero; None if there is none.
@@ -212,8 +222,8 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
     head walk it serves and a level costs at most twice C(u, k); t = 0 is a
     plain walk over every k-combination.
 
-    Each subset XOR is one XOR from a shorter one: the tail XORs come from
-    the tail XORs one size down, and the head walk carries its prefix XOR.
+    Each subset XOR is one XOR from a shorter one: ``_sums_up`` builds the
+    tail XORs, and the head walk carries its prefix XOR.
     """
     u = len(universe)
     if k == 0:
@@ -226,19 +236,9 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
         t -= 1
     h = k - t
     # max(A) >= h - 1, so a usable tail starts at position h or later.
-    # ``sums`` holds the XORs of the r-combinations of range(h, u) in lex
-    # order. Those whose first position is i are c[i] XOR each
-    # (r - 1)-combination of range(i + 1, u): the last C(u - 1 - i, r - 1)
-    # entries one size down.
     sums = [0]
     for r in range(t):
-        end = len(sums)
-        sums = [
-            ci ^ x
-            for i in range(h, u)
-            for ci in (c[i],)
-            for x in sums[end - math.comb(u - 1 - i, r):]
-        ]
+        sums = _sums_up(c, h, sums, r)
     table: dict[int, list[tuple[int, ...]]] = {}
     for key, tail in zip(sums, combinations(range(h, u), t)):
         table.setdefault(key, []).append(tail)
@@ -291,11 +291,11 @@ class XorZeroLevels:
     spurious "maybe" from a smaller zero-sum set, which costs one exact
     scan of that level.
 
-    Memory: the XORs of the subsets of the two half sizes, kept in colex
-    order and grown one size at a time, and a set of the larger size's. The
-    test runs only where C(n, ceil(k/2)) <= C(n, k), so they never
-    outnumber the subsets of the level they may skip; past that, every
-    level is scanned.
+    Memory: the XORs of the subsets of the two half sizes, in lex order and
+    grown one size at a time by ``_sums_up``, and a set of the larger
+    size's. The test runs only where C(n, ceil(k/2)) <= C(n, k), so they
+    never outnumber the subsets of the level they may skip; past that,
+    every level is scanned.
     """
 
     def __init__(self, cols: Sequence[int]):
@@ -323,17 +323,9 @@ class XorZeroLevels:
         return scan_xor_zero(self.cols, range(n), k)
 
     def _grow(self):
-        # In colex order the s-subsets of positions below j come first, so
-        # the (s + 1)-subsets with largest position j are c[j] XOR a prefix.
-        s, top, c = self.size, self.top, self.cols
-        self.below, self.seen = top, None
-        self.top = [
-            x ^ cj
-            for j in range(s, len(c))
-            for cj in (c[j],)
-            for x in islice(top, math.comb(j, s))
-        ]
-        self.size = s + 1
+        self.below, self.seen = self.top, None
+        self.top = _sums_up(self.cols, 0, self.top, self.size)
+        self.size += 1
 
 
 def _xor(c: Sequence[int], positions: Iterable[int]) -> int:

@@ -572,9 +572,10 @@ def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, fmt, mark, newline
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 def test_line_numbers_count_every_line_end(tmp_path, capsys, newline):
+    # A blank line and a comment-only line between the edges still count.
     path = tmp_path / "repeat.edges"
-    path.write_bytes(newline.join([b"2 2", b"0 0", b"0 0", b""]))
-    assert run(capsys, "mindist", str(path)) == (2, "", "error: line 3: duplicate edge (0, 0)\n")
+    path.write_bytes(newline.join([b"2 2", b"0 0", b"", b"  # note", b"0 0", b""]))
+    assert run(capsys, "mindist", str(path)) == (2, "", "error: line 5: duplicate edge (0, 0)\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
@@ -696,3 +697,20 @@ def test_repeated_main_calls_share_no_state(monkeypatch, capsys):
     assert [status for status, _, _ in results] == [0, 0, 2, 0, 2, 0, 0, 0, 0]
     for argv, result in zip(sequence, results):
         assert result == _run_fresh(argv), argv
+
+
+def readme_cli_examples():
+    # The fenced block that opens README's "## CLI" section: one
+    # "expandercodes ..." command per line, "#" starting a comment.
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert commands and all(words[0] == "expandercodes" for words in commands)
+    return [words[1:] for words in commands]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples())
+def test_readme_cli_examples_run(capsys, argv):
+    # A renamed command or option fails here rather than for a reader.
+    status, out, err = run(capsys, *argv)
+    assert (status, err) == (0, "") and out

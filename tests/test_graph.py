@@ -465,6 +465,8 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "'float' object cannot be interpreted as an integer"),
         (lambda: BipartiteGraph(2, 1, (("1",),)), TypeError,
          "'str' object cannot be interpreted as an integer"),
+        (lambda: BipartiteGraph(2, 1, ((0, "1"),)), TypeError,
+         "'str' object cannot be interpreted as an integer"),
         (lambda: BipartiteGraph.from_edges(2, 2, [(0, 2)]), ValueError,
          r"right index 2 out of range \[0, 2\)"),
         (lambda: G.neighbor_set(RightSubset(3, 1)), IndexError,
@@ -500,7 +502,7 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "exact_rational-string", "graph-negative-counts", "graph-adjacency-count",
          "graph-adjacency-extra", "graph-duplicate-before-range", "graph-negative-index",
          "graph-index-equals-m", "graph-first-bad-vertex", "graph-float-index",
-         "graph-str-index",
+         "graph-str-index", "graph-mixed-str-index",
          "from_edges-right-index", "neighbor_set-universe", "describe-verified",
          "min_at-size", "bounds-irregular", "serialize-unknown-format",
          "genspec-float-seed", "genspec-float-m", "genspec-str-n", "graph-float-m",

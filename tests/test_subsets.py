@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expandercodes import CapabilityError, RightSubset, subsets
+from expandercodes import CapabilityError, RightSubset, gf2, instances, mindist, subsets
 from expandercodes.subsets import (
     XorZeroLevels,
     count_sizes,
@@ -239,6 +239,9 @@ def test_union_walk_stops_at_once():
     (subsets.scan_union_below, ["masks", "universe", "k", "min_required"]),
     (subsets.level_min_union, ["masks", "n", "k"]),
     (subsets.find_first_at_level, ["scan", "n", "k"]),
+    (mindist.min_distance_pruned, ["graph", "params", "budget"]),
+    (gf2.nullspace_basis, ["matrix"]),
+    (instances.parse_graph, ["text", "fmt"]),
 ])
 def test_traced_parameter_names(func, params):
     assert list(inspect.signature(func).parameters) == params
