@@ -23,8 +23,6 @@ class Gf2Matrix(_Value):
     """Column-major bit-packed 0/1 matrix; ``columns[j]`` has bit i set iff
     entry (i, j) is 1."""
 
-    _fields = ("rows", "cols", "columns")
-
     def __init__(self, rows: int, cols: int, columns: tuple[int, ...]):
         if not type(rows) is type(cols) is int:
             rows, cols = map(_int_field, ("rows", "cols"), (rows, cols))

@@ -62,8 +62,7 @@ def size_cap(gamma, n: int) -> int:
     """Largest subset size the expansion hypothesis constrains on n right
     vertices: min(n, floor(gamma*n)) for gamma > 0 and an int n >= 0."""
     gamma = exact_rational(gamma, "gamma")
-    if not isinstance(n, int):
-        raise TypeError(f"n must be an int, not {type(n).__name__}")
+    n = _int_field("n", n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return min(n, math.floor(gamma * n))
@@ -86,7 +85,6 @@ class BipartiteGraph(_Value):
     constructor parameter nor compared.
     """
 
-    _fields = ("m", "n", "right_adj")
     _biadjacency: Gf2Matrix | None = None  # stored by the first biadjacency() call
 
     def __init__(self, m: int, n: int, right_adj: Iterable[Iterable[int]]):
@@ -94,28 +92,33 @@ class BipartiteGraph(_Value):
             m, n = map(_int_field, ("m", "n"), (m, n))
         if m < 0 or n < 0:
             raise ValueError("vertex counts must be >= 0")
-        try:
-            adj = tuple(map(tuple, map(sorted, right_adj)))
-        except TypeError:  # sorted() compared an int with, say, a str
-            for neigh in right_adj:  # where the lists can be read again, index() names it
-                list(map(index, neigh))
-            raise
-        if len(adj) != n:
-            raise ValueError(f"expected {n} right adjacency lists, got {len(adj)}")
-        for j, neigh in enumerate(adj):
-            last = -1  # sorted, so valid indices climb strictly from 0 to below m
-            for i in neigh:
-                if type(i) is not int or not last < i < m:
+        lists = list(right_adj)
+        if len(lists) != n:
+            raise ValueError(f"expected {n} right adjacency lists, got {len(lists)}")
+        adj = []
+        for j, neigh in enumerate(lists):
+            neigh = list(neigh)
+            try:
+                neigh.sort()
+            except TypeError:  # sort() compared an int with, say, a str
+                neigh = sorted(map(index, neigh))  # index() names the entry
+            while True:
+                last = -1  # sorted, so valid indices climb strictly from 0 to below m
+                for i in neigh:
+                    if type(i) is not int or not last < i < m:
+                        break
+                    last = i
+                else:
                     break
-                last = i
-            else:
-                continue
-            if type(i) is not int:  # index(): a bool becomes an int, a float or str fails
-                return self.__init__(m, n, tuple(tuple(map(index, t)) for t in adj))
-            if len(set(neigh)) != len(neigh):
-                raise ValueError(f"right vertex {j} has a duplicate edge")
-            # No repeat, so the loop stopped at the smallest index out of range.
-            raise ValueError(f"right vertex {j}: left index {i} out of range [0, {m})")
+                if type(i) is not int:  # index(): a bool becomes an int, a float fails
+                    neigh = sorted(map(index, neigh))
+                    continue
+                if len(set(neigh)) != len(neigh):
+                    raise ValueError(f"right vertex {j} has a duplicate edge")
+                # No repeat, so the loop stopped at the smallest index out of range.
+                raise ValueError(f"right vertex {j}: left index {i} out of range [0, {m})")
+            adj.append(tuple(neigh))
+        adj = tuple(adj)
         degrees = set(map(len, adj))
         _setattr(self, "m", m)
         _setattr(self, "n", n)
@@ -187,8 +190,6 @@ class ExpanderCertificate(_Value):
     size <= size_cap(gamma, n) has one; the certificate is then verified.
     """
 
-    _fields = ("graph", "gamma", "alpha", "violation")
-
     def __init__(
         self,
         graph: BipartiteGraph,
@@ -246,8 +247,6 @@ class ExpanderCertificate(_Value):
 
 class ExpansionProfile(_Value):
     """Exact min |N(S)| per subset size, for sizes 1..s_max."""
-
-    _fields = ("n", "d", "min_neighbors")
 
     def __init__(self, n: int, d: int | None, min_neighbors: tuple[int, ...]):
         _setattr(self, "n", n)
@@ -318,6 +317,7 @@ def expansion_profile(
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> ExpansionProfile:
     """Exact min |N(S)| for every subset size 1..s_max (full enumeration)."""
+    s_max = _int_field("s_max", s_max)
     if s_max < 0 or s_max > graph.n:
         raise ValueError(f"s_max must be in [0, {graph.n}], got {s_max}")
     # Every level is walked, so the whole range is charged up front.
@@ -350,8 +350,6 @@ class BoundsSweep(_Value):
     size_cap(gamma, n). ``subsets_checked`` counts the subsets it was
     established for, walked or not: all of them when it holds, otherwise
     those up to and including ``violation``, the first failure."""
-
-    _fields = ("gamma", "epsilon", "size_cap", "subsets_checked", "violation")
 
     def __init__(
         self,
@@ -444,8 +442,6 @@ class PartitionSweep(_Value):
     The property holds on every graph, so there is no violation to carry;
     ``to_record`` still reports ``"violation": null``.
     """
-
-    _fields = ("subsets_checked", "empty_odd_found", "partitions_checked")
 
     def __init__(self, subsets_checked: int, empty_odd_found: int, partitions_checked: int):
         _setattr(self, "subsets_checked", subsets_checked)

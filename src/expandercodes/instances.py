@@ -234,8 +234,6 @@ class GenSpec(_Value):
     """Parameters for seeded right-regular generation: four ints, where a
     bool counts as 0 or 1 and a float or str is refused."""
 
-    _fields = ("m", "n", "d", "seed")
-
     def __init__(self, m: int, n: int, d: int, seed: int):
         if not type(m) is type(n) is type(d) is type(seed) is int:
             m, n, d, seed = map(_int_field, self._fields, (m, n, d, seed))

@@ -74,8 +74,6 @@ class MinDistanceResult(_Value):
     certified size bound for the pruned method, else None.
     """
 
-    _fields = ("witness", "method", "examined", "threshold")
-
     def __init__(
         self,
         witness: RightSubset | None,
@@ -115,8 +113,6 @@ class PruningParams(_Value):
     alpha that ``exact_epsilon`` does not admit as 1 - epsilon, so the
     pruned search never runs on an unproven expansion claim.
     """
-
-    _fields = ("certificate",)
 
     def __init__(self, certificate: ExpanderCertificate):
         _setattr(self, "certificate", certificate)

@@ -72,18 +72,22 @@ _setattr = object.__setattr__
 class _Value:
     """Base of the package's immutable value types.
 
-    ``_fields`` names a type's constructor parameters in order. Equality,
-    hashing and ``repr`` read those fields, and assigning or deleting any
-    attribute raises AttributeError. Each type's ``__init__`` validates its
-    arguments and stores them with ``_setattr``, which bypasses that
-    refusal. They live in the instance ``__dict__`` like any attribute, so
-    ``copy`` and ``pickle`` work unchanged.
+    A type's fields are its ``__init__`` parameters, in order: the
+    subclass hook reads them from the constructor's code into ``_fields``,
+    so they are named once. Equality, hashing and ``repr`` read those
+    fields, and assigning or deleting any attribute raises AttributeError.
+    Each type's ``__init__`` validates its arguments and stores them with
+    ``_setattr``, which bypasses that refusal. They live in the instance
+    ``__dict__`` like any attribute, so ``copy`` and ``pickle`` work
+    unchanged.
     """
 
-    _fields: tuple[str, ...] = ()
+    _fields: tuple[str, ...]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]  # after self
         # Reads every field in one C call (a lone field bare, not in a tuple).
         cls._field_values = attrgetter(*cls._fields)
 
@@ -122,8 +126,6 @@ class RightSubset(_Value):
 
     Immutable; set bits may only appear at positions below ``n``.
     """
-
-    _fields = ("n", "bits")
 
     def __init__(self, n: int, bits: int):
         if type(n) is not int:

@@ -30,7 +30,7 @@ from expandercodes import (
     serialize_graph,
     xor_columns,
 )
-from expandercodes.graph import exact_rational
+from expandercodes.graph import exact_rational, size_cap
 from expandercodes.subsets import bit_indices
 
 G = figure1()
@@ -120,6 +120,10 @@ def test_bool_neighbors_are_plain_ints():
     assert graph.right_adj == ((1,),) and type(graph.right_adj[0][0]) is int
     assert serialize_graph(graph) == "3 1\n1 0\n"
     assert parse_graph(serialize_graph(graph)) == graph
+    # Lists that can be read only once are read once, bool and all.
+    once = BipartiteGraph(3, 2, ((i for i in row) for row in ((2, True), (0, 2))))
+    assert once == BipartiteGraph(3, 2, ((1, 2), (0, 2)))
+    assert {type(i) for row in once.right_adj for i in row} == {int}
 
 
 def test_bool_vertex_counts_are_plain_ints():
@@ -135,6 +139,8 @@ def test_bool_vertex_counts_are_plain_ints():
     assert subset.n == 1 and type(subset.n) is int and subset == RightSubset(1, 1)
     matrix = Gf2Matrix(True, False, ())
     assert (matrix.rows, matrix.cols) == (1, 0) and {type(matrix.rows), type(matrix.cols)} == {int}
+    cap = size_cap(1, True)
+    assert cap == 1 and type(cap) is int
 
 
 def test_bool_bit_fields_are_plain_ints():
@@ -467,6 +473,12 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "'str' object cannot be interpreted as an integer"),
         (lambda: BipartiteGraph(2, 1, ((0, "1"),)), TypeError,
          "'str' object cannot be interpreted as an integer"),
+        (lambda: BipartiteGraph(2, 1, iter([(0, "1")])), TypeError,
+         "^'str' object cannot be interpreted as an integer$"),
+        (lambda: BipartiteGraph(2, 1, [iter((0, "1"))]), TypeError,
+         "^'str' object cannot be interpreted as an integer$"),
+        (lambda: BipartiteGraph(2, 1, ((5,), (0,))), ValueError,
+         "^expected 1 right adjacency lists, got 2$"),
         (lambda: BipartiteGraph.from_edges(2, 2, [(0, 2)]), ValueError,
          r"right index 2 out of range \[0, 2\)"),
         (lambda: G.neighbor_set(RightSubset(3, 1)), IndexError,
@@ -492,6 +504,10 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "^right-vertex index must be an int, not float$"),
         (lambda: Gf2Matrix(2, 1, (1.0,)), TypeError, "^column 0 must be an int, not float$"),
         (lambda: Gf2Matrix(2, 2, (1, "1")), TypeError, "^column 1 must be an int, not str$"),
+        (lambda: size_cap(HALF, 2.0), TypeError, "^n must be an int, not float$"),
+        (lambda: size_cap(HALF, "2"), TypeError, "^n must be an int, not str$"),
+        (lambda: expansion_profile(G, 2.0), TypeError, "^s_max must be an int, not float$"),
+        (lambda: expansion_profile(G, "2"), TypeError, "^s_max must be an int, not str$"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
          "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
@@ -502,13 +518,15 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "exact_rational-string", "graph-negative-counts", "graph-adjacency-count",
          "graph-adjacency-extra", "graph-duplicate-before-range", "graph-negative-index",
          "graph-index-equals-m", "graph-first-bad-vertex", "graph-float-index",
-         "graph-str-index", "graph-mixed-str-index",
+         "graph-str-index", "graph-mixed-str-index", "graph-iterator-of-rows-str-index",
+         "graph-iterator-row-str-index", "graph-adjacency-count-before-bad-list",
          "from_edges-right-index", "neighbor_set-universe", "describe-verified",
          "min_at-size", "bounds-irregular", "serialize-unknown-format",
          "genspec-float-seed", "genspec-float-m", "genspec-str-n", "graph-float-m",
          "graph-str-n", "subset-float-n", "matrix-float-rows", "matrix-str-cols",
          "subset-float-bits", "subset-str-bits", "subset-of-float-index",
-         "matrix-float-column", "matrix-str-column"],
+         "matrix-float-column", "matrix-str-column", "size_cap-float-n", "size_cap-str-n",
+         "profile-float-s_max", "profile-str-s_max"],
 )
 def test_parameter_rules_refuse(call, error, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be
@@ -517,8 +535,9 @@ def test_parameter_rules_refuse(call, error, message):
     # d*(1-2*eps)*|S|. A certificate settles the bounds only for the
     # graph, gamma and alpha = 1 - epsilon it was verified for.
     # The other cases are the constructors' and accessors' own range and
-    # type checks. A graph refuses its first bad right vertex, and within it
-    # a duplicate before the smallest index out of range.
+    # type checks. A graph counts its lists first, then refuses its first
+    # bad right vertex, and within it a duplicate before the smallest index
+    # out of range; lists that can be read only once are read once.
     with pytest.raises(error, match=message):
         call()
 

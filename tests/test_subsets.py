@@ -1,10 +1,13 @@
 """Subset enumeration: the range checks of ``RightSubset``, the
 meet-in-the-middle XOR-zero scan and the prefix-cut union walk against
-brute-force references, and the scan signatures the benchmark binds."""
+brute-force references, and the scan signatures and layer names the
+benchmark binds."""
 
+import importlib
 import inspect
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -245,3 +248,31 @@ def test_union_walk_stops_at_once():
 ])
 def test_traced_parameter_names(func, params):
     assert list(inspect.signature(func).parameters) == params
+
+
+def test_traced_layers_resolve(monkeypatch):
+    # Every layer a benchmark workload records must still name a function
+    # or classmethod of the package, or traced runs miss it. The names are
+    # read from bench/workloads.py, which imports oracle from beside it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    names = workloads.COMMON_LAYERS | workloads.PROFILE_LAYERS | workloads.DISTANCE_LAYERS
+    names = names.union(*(w.layers for w in workloads.WORKLOADS.values()))
+    missing = []
+    for name in sorted(names - {"trace"}):  # "trace" is the tracer's own overhead
+        short, _, rest = name.partition(".")
+        module = importlib.import_module(f"expandercodes.{short}")
+        if short == "cli":
+            # cli.X traces cmd_X or X; cli.mindist_<method> traces cmd_mindist.
+            rest = "mindist" if rest.startswith("mindist_") else rest
+            found = [vars(module).get(attr) for attr in (f"cmd_{rest}", rest)]
+        else:
+            owner, _, attr = rest.rpartition(".")
+            if owner:
+                method = vars(vars(module).get(owner, object)).get(attr)
+                found = [method.__func__] if isinstance(method, classmethod) else []
+            else:
+                found = [vars(module).get(attr)]
+        if not any(inspect.isfunction(f) and f.__module__ == module.__name__ for f in found):
+            missing.append(name)
+    assert missing == []
