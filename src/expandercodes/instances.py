@@ -13,6 +13,7 @@ does not depend on the interpreter's own RNG.
 from __future__ import annotations
 
 import re
+import struct
 from collections import defaultdict
 
 from .errors import ParseError
@@ -177,6 +178,34 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# _block computes _LANES outputs at once, each in its own 128-bit lane of
+# one int: lane i holds a 64-bit value in its low half, and its high half
+# takes the spill of a product or a shift, so no carry crosses lanes.
+_LANES = 32
+_LOW64 = sum(_U64 << 128 * i for i in range(_LANES))
+_ONES = sum(1 << 128 * i for i in range(_LANES))
+_RAMP = sum(((i + 1) * _GOLDEN & _U64) << 128 * i for i in range(_LANES))
+_STRIDE = _LANES * _GOLDEN & _U64
+# A lane's low half as a little-endian word, whatever the platform's byte
+# order, then its high half skipped.
+_LANE_WORDS = struct.Struct("<" + "Q8x" * _LANES)
+
+
+def _block(state: int) -> tuple[int, ...]:
+    """The next _LANES splitmix64 outputs after ``state``, in order.
+
+    Lane i starts at state + (i + 1) * golden mod 2^64, and each mix step
+    acts on every lane with one big-int operation: masking to the low
+    halves after each shift and each product keeps every lane exact, since
+    a lane times a 64-bit constant stays below 2^128. The caller advances
+    the state by _STRIDE.
+    """
+    z = (state * _ONES + _RAMP) & _LOW64
+    z = ((z ^ (z >> 30)) & _LOW64) * _MIX1 & _LOW64
+    z = ((z ^ (z >> 27)) & _LOW64) * _MIX2 & _LOW64
+    z ^= z >> 31
+    return _LANE_WORDS.unpack(z.to_bytes(_LANE_WORDS.size, "little"))
+
 
 class SplitMix64:
     """The splitmix64 sequence (public constants, 64-bit wraparound):
@@ -186,48 +215,60 @@ class SplitMix64:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     output z ^ (z >> 31)
+
+    Outputs are computed _LANES at a time by ``_block``: the stream holds
+    the state after its current block, that block as a tuple, and the
+    index of the next unread output. A mutable stream, so each thread
+    needs its own; ``copy``, ``deepcopy`` and pickle give an independent
+    stream that continues from the same point.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_block", "_index")
 
     def __init__(self, seed: int):
         self._state = seed & _U64
+        self._block: tuple[int, ...] = ()
+        self._index = 0
 
     def next_u64(self) -> int:
-        return self._sample(1 << 64, 1)[0]
+        return self._sample(1 << 64, 1, 1)[0][0]
 
     def below(self, bound: int) -> int:
         """Uniform draw from [0, bound) by rejection; no modulo bias."""
-        return self._sample(bound, 1)[0]
+        return self._sample(bound, 1, 1)[0][0]
 
-    def _sample(self, bound: int, count: int) -> list[int]:
-        """``count`` distinct values below ``bound``, ascending.
+    def _sample(self, bound: int, count: int, times: int) -> list[list[int]]:
+        """``times`` samples, each ``count`` distinct values below ``bound``
+        in ascending order, drawn one after another from the stream.
 
         Each output at or above the largest multiple of ``bound`` that fits
         in 2^64 is rejected and the next one taken, so the value mod
-        ``bound`` is uniform; a value already drawn is drawn again, so the
-        stream is consumed exactly as by ``below(bound)`` calls repeated
-        until ``count`` distinct values are seen. Refuses, before any draw,
-        a bound outside [1, 2^64] and a count it could never reach.
+        ``bound`` is uniform; a value already drawn is drawn again, so a
+        sample consumes the stream exactly as ``below(bound)`` calls
+        repeated until ``count`` distinct values are seen. Refuses, before
+        any draw, a bound outside [1, 2^64] and a count it could never reach.
         """
         if not 0 < bound <= 1 << 64:
             raise ValueError(f"bound must be in [1, 2**64], got {bound}")
         if not 0 <= count <= bound:
             raise ValueError(f"cannot draw {count} distinct values below {bound}")
         limit = (1 << 64) - (1 << 64) % bound
-        state = self._state
-        # Locals, not module globals, in the loop that does all the work.
-        golden, mix1, mix2, mask = _GOLDEN, _MIX1, _MIX2, _U64
-        chosen: set[int] = set()
-        while len(chosen) < count:
-            state = (state + golden) & mask
-            z = ((state ^ (state >> 30)) * mix1) & mask
-            z = ((z ^ (z >> 27)) * mix2) & mask
-            z ^= z >> 31
-            if z < limit:
-                chosen.add(z % bound)
-        self._state = state
-        return sorted(chosen)
+        state, block, i = self._state, self._block, self._index
+        end = len(block)
+        samples = []
+        for _ in range(times):
+            chosen: set[int] = set()
+            while len(chosen) < count:
+                if i == end:
+                    block, i, end = _block(state), 0, _LANES
+                    state = (state + _STRIDE) & _U64
+                z = block[i]
+                i += 1
+                if z < limit:
+                    chosen.add(z % bound)
+            samples.append(sorted(chosen))
+        self._state, self._block, self._index = state, block, i
+        return samples
 
 
 class GenSpec(_Value):
@@ -257,7 +298,4 @@ def random_right_regular(spec: GenSpec) -> BipartiteGraph:
     Nothing here certifies expansion: run ``check_expansion`` on the output
     before any pruning-dependent computation.
     """
-    rng = SplitMix64(spec.seed)
-    return BipartiteGraph(
-        spec.m, spec.n, tuple(rng._sample(spec.m, spec.d) for _ in range(spec.n))
-    )
+    return BipartiteGraph(spec.m, spec.n, SplitMix64(spec.seed)._sample(spec.m, spec.d, spec.n))

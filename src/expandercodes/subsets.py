@@ -192,7 +192,15 @@ def count_sizes(n: int, lo: int, hi: int) -> int:
 def charge(n: int, lo: int, k: int, budget: int) -> None:
     """Admit level k of a walk over subsets of [0, n) that began at size
     ``lo``: refuse with CapabilityError if the subsets of sizes lo..k
-    number more than ``budget``."""
+    number more than ``budget``.
+
+    This is the one place a budget is read, so it takes the int rule of
+    the other size parameters here: a bool counts as 0 or 1, and a float
+    or str is refused with a TypeError that names ``budget``. A search
+    that never charges a level, such as the kernel search of a full-rank
+    code, does not read its budget."""
+    if type(budget) is not int:
+        budget = _int_field("budget", budget)
     spent = count_sizes(n, lo, k)
     if spent > budget:
         raise CapabilityError(

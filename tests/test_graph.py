@@ -24,6 +24,7 @@ from expandercodes import (
     figure1,
     find_bounds_violation,
     find_partition_violation,
+    min_distance_kernel,
     odd_neighborhood_bounds,
     parse_graph,
     random_right_regular,
@@ -508,6 +509,12 @@ def test_bounds_sweep_matches_brute_force_oracle():
         (lambda: size_cap(HALF, "2"), TypeError, "^n must be an int, not str$"),
         (lambda: expansion_profile(G, 2.0), TypeError, "^s_max must be an int, not float$"),
         (lambda: expansion_profile(G, "2"), TypeError, "^s_max must be an int, not str$"),
+        (lambda: check_expansion(G, HALF, Fraction(2, 3), budget=2.5), TypeError,
+         "^budget must be an int, not float$"),
+        (lambda: check_expansion(G, HALF, Fraction(2, 3), budget="5"), TypeError,
+         "^budget must be an int, not str$"),
+        (lambda: min_distance_kernel(G.biadjacency(), budget=1e9), TypeError,
+         "^budget must be an int, not float$"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
          "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
@@ -526,7 +533,8 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "graph-str-n", "subset-float-n", "matrix-float-rows", "matrix-str-cols",
          "subset-float-bits", "subset-str-bits", "subset-of-float-index",
          "matrix-float-column", "matrix-str-column", "size_cap-float-n", "size_cap-str-n",
-         "profile-float-s_max", "profile-str-s_max"],
+         "profile-float-s_max", "profile-str-s_max", "check_expansion-float-budget",
+         "check_expansion-str-budget", "kernel-float-budget"],
 )
 def test_parameter_rules_refuse(call, error, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be

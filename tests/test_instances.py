@@ -1,6 +1,8 @@
 """Parsing, serialization, the built-in instance, and seeded generation."""
 
+import copy
 import hashlib
+import pickle
 import tracemalloc
 
 import pytest
@@ -243,17 +245,62 @@ def test_splitmix64_draw_vector():
     assert rng.next_u64() == 8149731417060244518
 
 
+def scalar_splitmix64(seed):
+    """The README's five lines, one output per step, as the reference for
+    the generator's 32-lane blocks."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        yield z ^ (z >> 31)
+
+
+def scalar_below(outputs, bound):
+    limit = 2**64 - 2**64 % bound
+    return next(z % bound for z in outputs if z < limit)
+
+
+def test_splitmix64_matches_scalar_reference():
+    # 1,000 outputs span 31 blocks and end inside one, from seeds whose
+    # lanes start at 0, 1, 2**63 and 2**64 - 1.
+    for seed in (0, 1, 2**63, 2**64 - 1):
+        rng, outputs = SplitMix64(seed), scalar_splitmix64(seed)
+        assert [rng.next_u64() for _ in range(1000)] == [next(outputs) for _ in range(1000)]
+    # About half of all outputs are rejected at 2**63 + 1, so rejections
+    # fall across block edges, between draws of other bounds.
+    bounds = (1, 7, 2**63 + 1, 2**64 - 1, 2**64)
+    rng, outputs = SplitMix64(2024), scalar_splitmix64(2024)
+    got = [rng.below(bounds[i % 5]) for i in range(500)]
+    assert got == [scalar_below(outputs, bounds[i % 5]) for i in range(500)]
+    assert rng.next_u64() == next(outputs)
+
+
+def test_splitmix64_copies_continue_independently():
+    for duplicate in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        rng = SplitMix64(31)
+        rng.next_u64()
+        twin = duplicate(rng)
+        # Drawing all of one before the other shows they share no state.
+        mine = [rng.below(2**63 + 1) for _ in range(40)]
+        assert [twin.below(2**63 + 1) for _ in range(40)] == mine
+        reference = scalar_splitmix64(31)
+        next(reference)
+        assert mine == [scalar_below(reference, 2**63 + 1) for _ in range(40)]
+
+
 def test_sampling_refuses_before_any_draw():
     rng = SplitMix64(5)
     with pytest.raises(ValueError, match="2\\*\\*64"):
         rng.below(2**64 + 1)
     with pytest.raises(ValueError, match="cannot draw 4 distinct values below 3"):
-        rng._sample(3, 4)
+        rng._sample(3, 4, 1)
     with pytest.raises(ValueError, match="2\\*\\*64"):
         random_right_regular(GenSpec(m=2**64 + 1, n=1, d=1, seed=0))
     # the refusals left the stream where it was
     assert rng.next_u64() == SplitMix64(5).next_u64()
-    assert SplitMix64(5)._sample(3, 3) == [0, 1, 2]
+    assert SplitMix64(5)._sample(3, 3, 1) == [[0, 1, 2]]
 
 
 # SHA-256 over both formats of every shape and seed below, in that order;
