@@ -21,7 +21,9 @@ from .subsets import RightSubset, _Value, _int_field, _setattr, _xor
 
 class Gf2Matrix(_Value):
     """Column-major bit-packed 0/1 matrix; ``columns[j]`` has bit i set iff
-    entry (i, j) is 1."""
+    entry (i, j) is 1. The columns are read once into a tuple the matrix
+    owns; the first one that ``operator.index`` refuses or that has a bit
+    at row ``rows`` or above raises."""
 
     def __init__(self, rows: int, cols: int, columns: tuple[int, ...]):
         if not type(rows) is type(cols) is int:
@@ -30,15 +32,16 @@ class Gf2Matrix(_Value):
             raise ValueError("matrix dimensions must be >= 0")
         if len(columns) != cols:
             raise ValueError(f"expected {cols} columns, got {len(columns)}")
+        checked = []
         for j, col in enumerate(columns):
-            if type(col) is not int:  # a bool becomes 0 or 1, a float or str fails
-                columns = tuple(_int_field(f"column {k}", c) for k, c in enumerate(columns))
-                return self.__init__(rows, cols, columns)
+            if type(col) is not int:
+                col = _int_field(f"column {j}", col)
             if col < 0 or col >> rows:
                 raise ValueError(f"column {j} has bits outside [0, {rows})")
+            checked.append(col)
         _setattr(self, "rows", rows)
         _setattr(self, "cols", cols)
-        _setattr(self, "columns", columns)
+        _setattr(self, "columns", tuple(checked))
 
 
 def xor_columns(matrix: Gf2Matrix, subset: RightSubset) -> int:

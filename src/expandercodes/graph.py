@@ -246,21 +246,17 @@ class ExpanderCertificate(_Value):
 
 
 class ExpansionProfile(_Value):
-    """Exact min |N(S)| per subset size, for sizes 1..s_max."""
+    """Exact min |N(S)| per subset size, for sizes 1..s_max:
+    ``min_neighbors[s - 1]`` is the minimum over the s-subsets."""
 
     def __init__(self, n: int, d: int | None, min_neighbors: tuple[int, ...]):
         _setattr(self, "n", n)
         _setattr(self, "d", d)
-        _setattr(self, "min_neighbors", min_neighbors)
+        _setattr(self, "min_neighbors", tuple(min_neighbors))
 
     @property
     def s_max(self) -> int:
         return len(self.min_neighbors)
-
-    def min_at(self, size: int) -> int:
-        if not 1 <= size <= self.s_max:
-            raise IndexError(f"size {size} outside the profiled range [1, {self.s_max}]")
-        return self.min_neighbors[size - 1]
 
     def best_alpha(self, gamma) -> Fraction | None:
         """Largest alpha for which the graph expands at this gamma, i.e.
@@ -363,7 +359,7 @@ class BoundsSweep(_Value):
         _setattr(self, "epsilon", epsilon)
         _setattr(self, "size_cap", size_cap)
         _setattr(self, "subsets_checked", subsets_checked)
-        _setattr(self, "violation", violation)
+        _setattr(self, "violation", None if violation is None else tuple(violation))
 
     def to_record(self, m: int) -> dict:
         rec = {

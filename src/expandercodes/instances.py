@@ -124,7 +124,7 @@ def parse_matrix(text: str) -> BipartiteGraph:
         raise ParseError("empty input: missing 'rows cols' header")
     if n and row != m:
         raise ParseError(f"expected {m} matrix rows, got {row}")
-    return BipartiteGraph(m, n, tuple(map(tuple, adj)))
+    return BipartiteGraph(m, n, adj)
 
 
 def parse_graph(text: str, fmt: str = EDGE_LIST) -> BipartiteGraph:

@@ -173,14 +173,13 @@ class RightSubset(_Value):
 
 
 def combination_rank(combo: Sequence[int], n: int) -> int:
-    """0-based position of a sorted combination among C(n, k) in lex order."""
+    """0-based position of a sorted combination among C(n, k) in lex order:
+    C(n, k) - 1 less the C(n - 1 - combo[i], k - i) combinations that follow
+    it by agreeing before position i and taking a larger entry there."""
     k = len(combo)
-    rank = 0
-    prev = -1
+    rank = math.comb(n, k) - 1
     for i, c in enumerate(combo):
-        for j in range(prev + 1, c):
-            rank += math.comb(n - 1 - j, k - 1 - i)
-        prev = c
+        rank -= math.comb(n - 1 - c, k - i)
     return rank
 
 
@@ -288,7 +287,8 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
 
 class XorZeroLevels:
     """``scan_xor_zero`` over all of the columns ``cols`` for one walk by
-    levels (``first_hit_by_level``): called as ``scan(k)`` it returns what
+    levels (``first_hit_by_level``): called as ``scan(k)`` on a level k in
+    [1, len(cols)], which ``find_first_at_level`` ensures, it returns what
     ``scan_xor_zero(cols, range(len(cols)), k)`` returns, but calls it only
     on a level that the collision test cannot rule out.
 
@@ -319,7 +319,7 @@ class XorZeroLevels:
     def __call__(self, k: int):
         n = len(self.cols)
         half = (k + 1) // 2
-        if 1 <= k <= n and math.comb(n, half) <= math.comb(n, k):
+        if math.comb(n, half) <= math.comb(n, k):
             while self.size < half:
                 self._grow()
             if self.seen is None:

@@ -97,8 +97,7 @@ def test_expansion_certification():
     cert = check_expansion(g, Fraction(1, 2), Fraction(2, 3))
     assert cert.verified
     profile = expansion_profile(g, 2)
-    assert profile.min_at(1) == 2
-    assert profile.min_at(2) == 3
+    assert profile.min_neighbors == (2, 3)
     best = profile.best_alpha(Fraction(1, 2))
     assert best == Fraction(3, 4)
     assert best >= Fraction(2, 3)

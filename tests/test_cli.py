@@ -375,6 +375,44 @@ def test_distance_lowrate_workload_bytes_are_pinned(tmp_path, capsys):
         assert run(capsys, argv[0], str(path), *argv[1:], "--json") == (0, out, "")
 
 
+def test_distance_highrate_workload_bytes_are_pinned(tmp_path, capsys):
+    # The benchmark's distance-highrate jobs on the first graph of its
+    # seed-1 corpus (dimension 20, distance 2): the subset search stops at
+    # a repeated column, the kernel walk visits all 2^20 - 1 codewords.
+    path = tmp_path / "highrate.edges"
+    graph = random_right_regular(GenSpec(8, 28, 3, seed=10451216379200822465))
+    path.write_text(serialize_graph(graph), encoding="utf-8")
+    witness = '"witness": {"indices": [0, 11], "labels": [9, 20]}}\n'
+    for argv, out in (
+        (["mindist"],
+         '{"distance": 2, "examined": 39, "method": "subset", "threshold": null, ' + witness),
+        (["mindist", "--method", "kernel"],
+         '{"distance": 2, "examined": 1048575, "method": "kernel", "threshold": null, '
+         + witness),
+    ):
+        assert run(capsys, argv[0], str(path), *argv[1:], "--json") == (0, out, "")
+
+
+def test_lemmas_workload_bytes_are_pinned(tmp_path, capsys):
+    # The benchmark's lemmas jobs on the first graph of its seed-1 corpus
+    # (dimension 7): a profile to the size cap, then the bounds and
+    # partition sweeps at epsilon = 1 - best_alpha.
+    path = tmp_path / "lemmas.edges"
+    graph = random_right_regular(GenSpec(12, 19, 3, seed=16836161867980068218))
+    path.write_text(serialize_graph(graph), encoding="utf-8")
+    for argv, out in (
+        (["profile", "--gamma", "2/19"],
+         '{"best_alpha": "2/3", "d": 3, "gamma": "2/19", "min_neighbors": [3, 4], "n": 19}\n'),
+        (["lemmas", "--gamma", "2/19", "--epsilon", "1/3"],
+         '{"bounds": {"epsilon": "1/3", "gamma": "2/19", "size_cap": 2, '
+         '"subsets_checked": 190, "violation": null}, "certificate": {"alpha": "2/3", '
+         '"d": 3, "gamma": "2/19", "m": 12, "n": 19, "verified": true, "violation": null}, '
+         '"partition": {"empty_odd_found": 127, "partitions_checked": 136105, '
+         '"subsets_checked": 524287, "violation": null}}\n'),
+    ):
+        assert run(capsys, argv[0], str(path), *argv[1:], "--json") == (0, out, "")
+
+
 def test_bound_json_round_trips(capsys):
     status, out, _ = run(
         capsys, "bound", "--gamma", "1/2", "--epsilon", "1/3", "--n", "4", "--json"

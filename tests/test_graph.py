@@ -221,8 +221,7 @@ def test_check_expansion_budget():
 
 def test_expansion_profile_demo():
     profile = expansion_profile(G, 2)
-    assert profile.min_at(1) == 2
-    assert profile.min_at(2) == 3
+    assert profile.min_neighbors == (2, 3)
     assert profile.best_alpha(HALF) == Fraction(3, 4)
     assert profile.best_alpha(HALF) >= Fraction(2, 3)
 
@@ -248,7 +247,7 @@ def test_expansion_profile_irregular_graph():
 def test_profile_invariants_small_sweep():
     full = expansion_profile(G, G.n)
     for s in range(1, G.n + 1):
-        assert 1 <= full.min_at(s) <= G.d * s
+        assert 1 <= full.min_neighbors[s - 1] <= G.d * s
 
 
 def test_union_searches_match_brute_force_seeded():
@@ -485,8 +484,6 @@ def test_bounds_sweep_matches_brute_force_oracle():
         (lambda: G.neighbor_set(RightSubset(3, 1)), IndexError,
          "subset universe size 3 does not match right side 4"),
         (lambda: CERT.describe(), ValueError, "a verified certificate has no counterexample"),
-        (lambda: expansion_profile(G, 2).min_at(3), IndexError,
-         r"size 3 outside the profiled range \[1, 2\]"),
         (lambda: odd_neighborhood_bounds(IRREGULAR, RightSubset(2, 1), Fraction(1, 3)),
          ValueError, "bounds require a right-regular graph"),
         (lambda: serialize_graph(G, "dot"), ValueError, "unknown graph format 'dot'"),
@@ -528,7 +525,7 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "graph-str-index", "graph-mixed-str-index", "graph-iterator-of-rows-str-index",
          "graph-iterator-row-str-index", "graph-adjacency-count-before-bad-list",
          "from_edges-right-index", "neighbor_set-universe", "describe-verified",
-         "min_at-size", "bounds-irregular", "serialize-unknown-format",
+         "bounds-irregular", "serialize-unknown-format",
          "genspec-float-seed", "genspec-float-m", "genspec-str-n", "graph-float-m",
          "graph-str-n", "subset-float-n", "matrix-float-rows", "matrix-str-cols",
          "subset-float-bits", "subset-str-bits", "subset-of-float-index",

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from expandercodes import CapabilityError, RightSubset, gf2, instances, mindist, subsets
 from expandercodes.subsets import (
     XorZeroLevels,
+    combination_rank,
     count_sizes,
     first_hit_by_level,
     level_min_union,
@@ -126,6 +127,30 @@ def test_xor_zero_levels_scan_only_maybe_levels(monkeypatch):
     assert first_hit_by_level(XorZeroLevels(cols), 10, 2, 6, 1000) == (
         None, count_sizes(10, 2, 6))
     assert levels == [3, 5]
+
+
+@pytest.mark.parametrize("cols, hit", [([1, 2, 1, 4], (0, 2)), ([1, 2, 4, 8], None)],
+                         ids=["repeated-column", "independent"])
+def test_xor_zero_levels_see_only_levels_in_range(monkeypatch, cols, hit):
+    # find_first_at_level keeps every level in [1, n], so a walk from 0 to
+    # n + 1 finds what a walk over 1..n finds (its count adds the empty
+    # set) and scans the same levels: never 0, where a repeated column
+    # passes the collision test, nor n + 1, which no test rules out.
+    levels = scanned_levels(monkeypatch)
+    n = len(cols)
+    inner = first_hit_by_level(XorZeroLevels(cols), n, 1, n, 100)
+    inner_levels = levels[:]
+    levels.clear()
+    found, examined = first_hit_by_level(XorZeroLevels(cols), n, 0, n + 1, 100)
+    assert (found, examined - 1) == inner and found == hit
+    assert levels == inner_levels
+
+
+def test_combination_rank_is_lex_position():
+    for n in range(9):
+        for k in range(n + 1):
+            for position, combo in enumerate(combinations(range(n), k)):
+                assert combination_rank(combo, n) == position
 
 
 def test_xor_zero_levels_guard(monkeypatch):

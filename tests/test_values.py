@@ -70,6 +70,37 @@ def test_value_semantics(cls, names, args, other):
         assert twin == value and hash(twin) == hash(value)
 
 
+# Each type with a sequence field, arguments giving that field as a list,
+# and the field's position.
+LIST_CASES = [
+    (Gf2Matrix, (2, 2, [1, 2]), 2),
+    (ExpansionProfile, (4, 2, [2, 3]), 2),
+    (BoundsSweep, (HALF, Fraction(1, 3), 2, 3, [RightSubset(4, 3), Fraction(4, 3), 1, 3]), 4),
+]
+
+
+@pytest.mark.parametrize("cls, args, pos", LIST_CASES, ids=[c[0].__name__ for c in LIST_CASES])
+def test_sequence_fields_are_owned_tuples(cls, args, pos):
+    items = args[pos]
+    tupled = cls(*args[:pos], tuple(items), *args[pos + 1:])
+    value = cls(*args)
+    assert getattr(value, cls._fields[pos]) == tuple(items)
+    assert value == tupled and hash(value) == hash(tupled)
+    items[0] = items[1]
+    items.append(items[0])
+    assert value == tupled and hash(value) == hash(tupled)
+
+
+@pytest.mark.parametrize("columns, error, message", [
+    ([99, "x"], ValueError, r"^column 0 has bits outside \[0, 2\)$"),
+    ([True, 99, "x"], ValueError, r"^column 1 has bits outside \[0, 2\)$"),
+    ([True, "x", 99], TypeError, "^column 1 must be an int, not str$"),
+], ids=["bits-before-type", "bool-then-bits", "type-before-bits"])
+def test_first_faulty_column_wins(columns, error, message):
+    with pytest.raises(error, match=message):
+        Gf2Matrix(2, len(columns), columns)
+
+
 def test_defaults_and_derived_fields():
     assert MinDistanceResult(WITNESS, "subset", 9).threshold is None
     # d is derived from the adjacency, so it is neither a parameter nor
