@@ -73,12 +73,12 @@ def _rational_arg(text: str) -> Fraction:
 def load_graph(source: str, fmt: str) -> BipartiteGraph:
     if source == "figure1":
         return figure1()
-    # One read and one decode of the bytes; utf-8-sig drops the byte-order
-    # mark some editors write first, and the parsers split lines at CRLF
-    # and lone CR as well as LF.
+    # One unbuffered read and one decode of the bytes; utf-8-sig drops the
+    # byte-order mark some editors write first, and the parsers split lines
+    # at CRLF and lone CR as well as LF.
     try:
-        with open(source, "rb") as f:
-            text = f.read().decode("utf-8-sig")
+        with open(source, "rb", buffering=0) as f:
+            text = f.readall().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
     return parse_graph(text, fmt)
@@ -190,6 +190,8 @@ def cmd_lemmas(args) -> dict:
 
 
 _parser = None
+_commands: dict[str, argparse.ArgumentParser] = {}  # name -> subparser, filled with _parser
+_encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(..., sort_keys=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,19 +259,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_rational_arg, required=True)
     p.add_argument("--epsilon", type=_rational_arg, required=True)
 
+    _commands.update(sub.choices)
     _parser = parser
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A command's arguments go straight to its own parser, as the top-level
+    # parser would pass them. Only a usage error or top-level help reaches
+    # the top-level parser, which then prints its own message and exits.
+    command = _commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         # Resolved per call, so a rebinding of a cmd_* function is used.
         record = globals()[f"cmd_{args.command}"](args)
         if record is not None:  # gen writes its graph itself
             if args.json:
-                print(json.dumps(record, sort_keys=True))
+                print(_encode(record))
             else:
                 for line in globals()[f"_{args.command}_lines"](record):
                     print(line)

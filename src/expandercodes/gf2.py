@@ -14,22 +14,29 @@ The module is algebra only: the matrix text format is read and written by
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .subsets import RightSubset, _Value, _int_field, _setattr, _xor
 
 
 class Gf2Matrix(_Value):
     """Column-major bit-packed 0/1 matrix; ``columns[j]`` has bit i set iff
-    entry (i, j) is 1. The columns are read once into a tuple the matrix
-    owns; the first one that ``operator.index`` refuses or that has a bit
-    at row ``rows`` or above raises."""
+    entry (i, j) is 1. The columns, any iterable of them, are read once
+    into a tuple the matrix owns; the first one that ``operator.index``
+    refuses or that has a bit at row ``rows`` or above raises."""
 
-    def __init__(self, rows: int, cols: int, columns: tuple[int, ...]):
+    def __init__(self, rows: int, cols: int, columns: Iterable[int]):
         if not type(rows) is type(cols) is int:
             rows, cols = map(_int_field, ("rows", "cols"), (rows, cols))
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be >= 0")
+        try:
+            columns = iter(columns)
+        except TypeError:
+            raise TypeError(
+                f"columns must be an iterable of ints, not {type(columns).__name__}"
+            ) from None
+        columns = tuple(columns)
         if len(columns) != cols:
             raise ValueError(f"expected {cols} columns, got {len(columns)}")
         checked = []

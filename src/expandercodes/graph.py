@@ -46,14 +46,14 @@ def exact_rational(value, name: str) -> Fraction:
         raise TypeError(f"{name} must be an exact rational (int or Fraction)")
     if value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def exact_epsilon(value) -> Fraction:
     """Coerce epsilon to Fraction and require the paper's slack range,
     below 1/2 as well as positive."""
     epsilon = exact_rational(value, "epsilon")
-    if epsilon >= Fraction(1, 2):
+    if 2 * epsilon.numerator >= epsilon.denominator:
         raise ValueError(f"epsilon must satisfy 0 < epsilon < 1/2, got {epsilon}")
     return epsilon
 
@@ -65,7 +65,7 @@ def size_cap(gamma, n: int) -> int:
     n = _int_field("n", n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return min(n, math.floor(gamma * n))
+    return min(n, gamma.numerator * n // gamma.denominator)
 
 
 def _expansion_degree(d: int | None) -> int:
@@ -161,7 +161,7 @@ class BipartiteGraph(_Value):
             for i in neigh:  # not 0 | (1 << i), a second m-bit int
                 mask = mask | 1 << i if mask else 1 << i
             columns.append(mask)
-        matrix = Gf2Matrix(self.m, self.n, tuple(columns))
+        matrix = Gf2Matrix(self.m, self.n, columns)
         _setattr(self, "_biadjacency", matrix)
         return matrix
 
@@ -298,9 +298,11 @@ def check_expansion(
     alpha = exact_rational(alpha, "alpha")
     d, n = _expansion_degree(graph.d), graph.n
     cap = size_cap(gamma, n)
+    # ceil(d*alpha*k) in integers: d*alpha = p/q.
+    p, q = d * alpha.numerator, alpha.denominator
 
     def scan(k):
-        return scan_union_below(graph.biadjacency().columns, range(n), k, math.ceil(d * alpha * k))
+        return scan_union_below(graph.biadjacency().columns, range(n), k, -(-p * k // q))
 
     hit, _ = first_hit_by_level(scan, n, 1, cap, budget)
     violation = None if hit is None else RightSubset.of(n, hit)

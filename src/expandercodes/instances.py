@@ -62,10 +62,12 @@ def _header(lineno: int, parts: list[str], names: str, what: str) -> tuple[int, 
 def parse_edge_list(text: str) -> BipartiteGraph:
     """Parse the edge-list format: "m n" header, one "left right" pair per
     line, '#' starting a comment; duplicate edges are rejected."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
     # One iterator: the edge loop resumes after the header line.
-    rows = enumerate(text.splitlines(), 1)
-    for lineno, raw in rows:
-        parts = raw.split("#", 1)[0].split()
+    rows = enumerate(map(str.split, lines), 1)
+    for lineno, parts in rows:
         if parts:
             m, n = _header(lineno, parts, "m n", "vertex counts")
             break
@@ -76,8 +78,7 @@ def parse_edge_list(text: str) -> BipartiteGraph:
     edges: dict[tuple[int, int], int] = {}
     # On ASCII text with no "_" or "+", int() takes just what _INT matches.
     number = int if text.isascii() and "_" not in text and "+" not in text else _ascii_int
-    for lineno, raw in rows:
-        parts = raw.split("#", 1)[0].split()
+    for lineno, parts in rows:
         if not parts:
             continue
         try:

@@ -160,11 +160,6 @@ class RightSubset(_Value):
     def __iter__(self):
         return iter(self.indices)
 
-    def __xor__(self, other: "RightSubset") -> "RightSubset":
-        if self.n != other.n:
-            raise ValueError("symmetric difference needs matching universes")
-        return RightSubset(self.n, self.bits ^ other.bits)
-
     def to_record(self, m: int) -> dict:
         """0-based indices and 1-based display labels: with ``m`` left
         vertices labeled 1..m, the right ones are labeled m+1..m+n."""

@@ -549,16 +549,24 @@ def test_lemmas_refuses_non_expander(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["edge-list", "matrix"])
-@pytest.mark.parametrize("content", [None, b"\xff\xfe\n"], ids=["missing", "undecodable"])
-def test_missing_file_is_exit_two(capsys, tmp_path, content, fmt):
-    # A file that is absent and one that is not UTF-8 both cannot be read.
-    path = tmp_path / "graph.txt"
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("graph.txt", None, "[Errno 2] No such file or directory: '{path}'"),
+        ("graph.txt", b"\xff\xfe\n",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("", None, "[Errno 21] Is a directory: '{path}'"),
+    ],
+    ids=["missing", "undecodable", "directory"],
+)
+def test_missing_file_is_exit_two(capsys, tmp_path, name, content, message, fmt):
+    # A file that is absent, one that is not UTF-8 and a directory cannot be
+    # read; the message is the one the failed read or decode gives.
+    path = tmp_path / name
     if content is not None:
         path.write_bytes(content)
-    status, out, err = run(capsys, "mindist", str(path), "--format", fmt)
-    assert status == 2
-    assert out == ""
-    assert err.startswith("error: cannot read input: ")
+    expected = f"error: cannot read input: {message.format(path=path)}\n"
+    assert run(capsys, "mindist", str(path), "--format", fmt) == (2, "", expected)
 
 
 # Text I/O that falls back on the locale's encoding is an error under these
@@ -695,6 +703,62 @@ def test_parser_built_once_and_names_bound_per_call(monkeypatch, capsys):
     status, out, _ = run(capsys, "verify", "figure1", "--gamma", "1/2", "--alpha", "2/3", "--json")
     assert (status, out) == (0, '{"fake": "7/9"}\n')
     assert calls == ["1/2", "2/3", (Fraction(7, 9), Fraction(7, 9))]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["frobnicate", "figure1"],
+        ["-x", "mindist", "figure1"],
+        ["mindist"],
+        ["mindist", "figure1", "extra"],
+        ["mindist", "figure1", "--bogus"],
+        ["mindist", "figure1", "-h", "extra"],
+        ["mindist", "figure1", "--meth", "kernel"],
+        ["mindist", "--", "figure1"],
+        ["mindist", "figure1", "--format=matrix"],
+        ["mindist", "figure1", "--json", "--json"],
+        ["mindist", "figure1", "--method", "bogus"],
+        ["verify", "figure1", "--gamma", "0.5", "--alpha", "1"],
+        ["verify", "figure1", "--alpha", "1"],
+        ["mindist", "figure1", "--gamma", "1/2"],
+    ],
+    ids=["no-arguments", "short-help", "long-help", "unknown-command", "top-level-option",
+         "missing-graph", "leftover", "unknown-option", "help-then-leftover",
+         "abbreviated-option", "double-dash", "joined-value", "repeated-flag",
+         "bad-choice", "float-rational", "missing-required", "gamma-without-pruned"],
+)
+def test_parse_matches_top_level_parser(monkeypatch, capsys, argv):
+    # main hands a command's arguments to that command's parser; whatever
+    # the input, the status and every byte written equal those of a main
+    # that hands every argv to the top-level parser, which it does with no
+    # command names to look up.
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    result = _run_in_process(capsys, argv)
+    monkeypatch.setattr(cli, "_commands", {}, raising=False)
+    assert result == _run_in_process(capsys, argv)
+
+
+def test_well_formed_command_skips_top_level_parse(monkeypatch, capsys):
+    # A well-formed command is parsed once, by its own parser; the top-level
+    # parser's parse_args runs only for usage errors and top-level help.
+    parser = cli.build_parser()
+    calls = []
+
+    def spy(args=None, namespace=None):
+        calls.append(args)
+        return type(parser).parse_args(parser, args, namespace)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    assert run(capsys, "mindist", "figure1", "--method", "kernel", "--json")[0] == 0
+    assert run(capsys, "bound", "--gamma", "1/2", "--epsilon", "1/3", "--n", "4") == (
+        0, "8/3\n", "")
+    assert calls == []
+    assert _run_in_process(capsys, ["mindist", "figure1", "extra"])[0] == 2
+    assert calls == [["mindist", "figure1", "extra"]]
 
 
 def _run_in_process(capsys, argv):
