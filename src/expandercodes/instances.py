@@ -192,20 +192,29 @@ _STRIDE = _LANES * _GOLDEN & _U64
 _LANE_WORDS = struct.Struct("<" + "Q8x" * _LANES)
 
 
-def _block(state: int) -> tuple[int, ...]:
-    """The next _LANES splitmix64 outputs after ``state``, in order.
+def _block(state: int) -> tuple[tuple[int, ...], int]:
+    """The next _LANES splitmix64 outputs after ``state``, in order, and
+    the state after the last of them.
 
     Lane i starts at state + (i + 1) * golden mod 2^64, and each mix step
     acts on every lane with one big-int operation: masking to the low
     halves after each shift and each product keeps every lane exact, since
-    a lane times a 64-bit constant stays below 2^128. The caller advances
-    the state by _STRIDE.
+    a lane times a 64-bit constant stays below 2^128.
     """
     z = (state * _ONES + _RAMP) & _LOW64
     z = ((z ^ (z >> 30)) & _LOW64) * _MIX1 & _LOW64
     z = ((z ^ (z >> 27)) & _LOW64) * _MIX2 & _LOW64
     z ^= z >> 31
-    return _LANE_WORDS.unpack(z.to_bytes(_LANE_WORDS.size, "little"))
+    return _LANE_WORDS.unpack(z.to_bytes(_LANE_WORDS.size, "little")), (state + _STRIDE) & _U64
+
+
+def _limit(bound: int) -> int:
+    """The largest multiple of ``bound`` that fits in 2^64: a draw below
+    ``bound`` rejects each output at or above it, so the value mod
+    ``bound`` is uniform. Refuses a bound outside [1, 2^64]."""
+    if not 0 < bound <= 1 << 64:
+        raise ValueError(f"bound must be in [1, 2**64], got {bound}")
+    return (1 << 64) - (1 << 64) % bound
 
 
 class SplitMix64:
@@ -232,28 +241,34 @@ class SplitMix64:
         self._index = 0
 
     def next_u64(self) -> int:
-        return self._sample(1 << 64, 1, 1)[0][0]
+        return self.below(1 << 64)
 
     def below(self, bound: int) -> int:
         """Uniform draw from [0, bound) by rejection; no modulo bias."""
-        return self._sample(bound, 1, 1)[0][0]
+        limit = _limit(bound)
+        state, block, i = self._state, self._block, self._index
+        while True:
+            if i == len(block):
+                (block, state), i = _block(state), 0
+            z = block[i]
+            i += 1
+            if z < limit:
+                self._state, self._block, self._index = state, block, i
+                return z % bound
 
     def _sample(self, bound: int, count: int, times: int) -> list[list[int]]:
         """``times`` samples, each ``count`` distinct values below ``bound``
         in ascending order, drawn one after another from the stream.
 
-        Each output at or above the largest multiple of ``bound`` that fits
-        in 2^64 is rejected and the next one taken, so the value mod
-        ``bound`` is uniform; a value already drawn is drawn again, so a
-        sample consumes the stream exactly as ``below(bound)`` calls
-        repeated until ``count`` distinct values are seen. Refuses, before
-        any draw, a bound outside [1, 2^64] and a count it could never reach.
+        Each output is rejected as ``below(bound)`` rejects it; a value
+        already drawn is drawn again, so a sample consumes the stream
+        exactly as ``below(bound)`` calls repeated until ``count`` distinct
+        values are seen. Refuses, before any draw, a bound outside
+        [1, 2^64] and a count it could never reach.
         """
-        if not 0 < bound <= 1 << 64:
-            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
+        limit = _limit(bound)
         if not 0 <= count <= bound:
             raise ValueError(f"cannot draw {count} distinct values below {bound}")
-        limit = (1 << 64) - (1 << 64) % bound
         state, block, i = self._state, self._block, self._index
         end = len(block)
         samples = []
@@ -261,8 +276,7 @@ class SplitMix64:
             chosen: set[int] = set()
             while len(chosen) < count:
                 if i == end:
-                    block, i, end = _block(state), 0, _LANES
-                    state = (state + _STRIDE) & _U64
+                    (block, state), i, end = _block(state), 0, _LANES
                 z = block[i]
                 i += 1
                 if z < limit:

@@ -41,7 +41,6 @@ them as its walk climbs, so each walk takes a new one.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
 from itertools import combinations
@@ -217,14 +216,17 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
     XOR to zero; None if there is none.
 
     Meet in the middle: a combination splits into a head A (its first k - t
-    positions) and a tail B (its last t), with min(B) > max(A). Tails go
-    into a table from XOR(B) to the tails in lex order; heads are walked in
-    lex order and each takes the first tail under key XOR(A) that starts
-    after max(A). Combinations order by head first, then by tail, so the
-    first such pair is the lex-first witness. ``t`` starts at k // 2 and
-    falls until C(u, t) <= C(u - t, k - t), so the table never outgrows the
-    head walk it serves and a level costs at most twice C(u, k); t = 0 is a
-    plain walk over every k-combination.
+    positions) and a tail B (its last t), with min(B) > max(A). The tails
+    are listed in lex order, and a table maps each XOR(B) to the index of
+    its last tail, the one that starts latest. Heads are walked in lex
+    order; a head ending at position j has a fitting tail exactly when the
+    last tail under key XOR(A) starts after j, and then the first fitting
+    one is the first with that key among the last C(u - 1 - j, t) tails,
+    those that start after j. Combinations order by head first, then by
+    tail, so the first such pair is the lex-first witness. ``t`` starts at
+    k // 2 and falls until C(u, t) <= C(u - t, k - t), so the table never
+    outgrows the head walk it serves and a level costs at most twice
+    C(u, k); t = 0 is a plain walk over every k-combination.
 
     Each subset XOR is one XOR from a shorter one: ``_sums_up`` builds the
     tail XORs, and the head walk carries its prefix XOR.
@@ -243,14 +245,9 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
     sums = [0]
     for r in range(t):
         sums = _sums_up(c, h, sums, r)
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for key, tail in zip(sums, combinations(range(h, u), t)):
-        table.setdefault(key, []).append(tail)
-
-    def start(tail):
-        # The empty tail (t = 0) fits after every head.
-        return tail[0] if tail else u
-
+    tails = list(combinations(range(h, u), t))
+    # Later tails overwrite earlier ones: each XOR keeps its last index.
+    table = dict(zip(sums, range(len(sums))))
     stop = u - t
     last = h - 1
     head = [0] * h
@@ -262,11 +259,11 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
             # Most heads miss, and ``in`` tests for that without a call.
             for j in range(first, stop):
                 if acc ^ c[j] in table:
-                    tails = table[acc ^ c[j]]
-                    i = bisect_right(tails, j, key=start)
-                    if i < len(tails):
+                    # The empty tail (t = 0) fits after every head.
+                    key = acc ^ c[j]
+                    if not t or tails[table[key]][0] > j:
                         head[last] = j
-                        return tails[i]
+                        return tails[sums.index(key, len(sums) - math.comb(u - 1 - j, t))]
             return None
         for p in range(first, stop - last + depth):
             head[depth] = p

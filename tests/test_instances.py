@@ -277,6 +277,31 @@ def test_splitmix64_matches_scalar_reference():
     assert rng.next_u64() == next(outputs)
 
 
+def scalar_sample(outputs, bound, count, times):
+    samples = []
+    for _ in range(times):
+        chosen = set()
+        while len(chosen) < count:
+            chosen.add(scalar_below(outputs, bound))
+        samples.append(sorted(chosen))
+    return samples
+
+
+def test_splitmix64_interleaved_draws_match_scalar_reference():
+    # One stream read by whole samples and by single draws in turn, so each
+    # path resumes inside a block the other left. About half of all outputs
+    # are rejected at 2**63 + 1, so draws of both kinds cross block edges.
+    rng, outputs = SplitMix64(2024), scalar_splitmix64(2024)
+    shapes = ((5, 2, 8), (2**63 + 1, 3, 5), (7, 7, 1))
+    bounds = (7, 2**63 + 1, 2**64)
+    for i in range(60):
+        m, d, n = shapes[i % 3]
+        assert rng._sample(m, d, n) == scalar_sample(outputs, m, d, n)
+        assert rng.next_u64() == next(outputs)
+        assert rng.below(bounds[i % 3]) == scalar_below(outputs, bounds[i % 3])
+        assert rng.below(2**63 + 1) == scalar_below(outputs, 2**63 + 1)
+
+
 def test_splitmix64_copies_continue_independently():
     for duplicate in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
         rng = SplitMix64(31)

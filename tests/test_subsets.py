@@ -70,6 +70,13 @@ def columns_and_universe(draw):
 @example(([0b011, 0b101, 0b000, 0b110, 0b011, 0b101], range(6)))
 @example(([0b011, 0b101, 0b000, 0b110, 0b011, 0b101], [0, 1, 3, 5]))
 @example(([0b1] * 12, range(12)))
+# At k = 5 the split is t = 2. Head (0, 1, 4) sums to 0, the XOR of the
+# tails (4, 5), (4, 6) and (5, 6); only (5, 6) starts after the head's
+# last position 4, so the pick must skip (4, 5) to find (0, 1, 4, 5, 6).
+@example(([1, 2, 4, 8, 3, 3, 3, 16, 32, 64], range(10)))
+# At k = 5 each head (0, 1, j), 4 <= j <= 7, finds its XOR under the one
+# tail (3, j), which starts before j: no tail fits, and the level is empty.
+@example(([1, 2, 4, 3, 8, 16, 32, 64, 128, 256], range(10)))
 def test_scan_xor_zero_matches_brute_force(case):
     cols, universe = case
     # At k <= 2 and at k >= u - 1 no table is smaller than the head walk,
