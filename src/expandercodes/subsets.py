@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from operator import attrgetter, index, xor
 
 from .errors import CapabilityError
@@ -216,17 +216,20 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
     XOR to zero; None if there is none.
 
     Meet in the middle: a combination splits into a head A (its first k - t
-    positions) and a tail B (its last t), with min(B) > max(A). The tails
-    are listed in lex order, and a table maps each XOR(B) to the index of
-    its last tail, the one that starts latest. Heads are walked in lex
-    order; a head ending at position j has a fitting tail exactly when the
-    last tail under key XOR(A) starts after j, and then the first fitting
-    one is the first with that key among the last C(u - 1 - j, t) tails,
-    those that start after j. Combinations order by head first, then by
-    tail, so the first such pair is the lex-first witness. ``t`` starts at
-    k // 2 and falls until C(u, t) <= C(u - t, k - t), so the table never
-    outgrows the head walk it serves and a level costs at most twice
-    C(u, k); t = 0 is a plain walk over every k-combination.
+    positions) and a tail B (its last t), with min(B) > max(A). The tail
+    XORs are listed in lex order of the tails, and a table maps each XOR(B)
+    to the index of its last tail, the one that starts latest. The tails
+    that start after position j are the last C(u - 1 - j, t) of the list,
+    so a head ending at j fits when the table's index is among them, and
+    the lex-first fit is the first index with key XOR(A) from there on.
+    Heads are walked in lex order, and combinations order by head first,
+    then by tail, so the first fit is the lex-first witness. At t = 0 the
+    list holds the one empty tail, which fits after every head, with no
+    separate case. The walk returns the witness's head positions and its
+    tail's index, and the tail's positions are read once, from that index.
+    ``t`` starts at k // 2 and falls until C(u, t) <= C(u - t, k - t), so
+    the table never outgrows the head walk it serves and a level costs at
+    most twice C(u, k).
 
     Each subset XOR is one XOR from a shorter one: ``_sums_up`` builds the
     tail XORs, and the head walk carries its prefix XOR.
@@ -245,36 +248,38 @@ def scan_xor_zero(cols: Sequence[int], universe: Sequence[int], k: int):
     sums = [0]
     for r in range(t):
         sums = _sums_up(c, h, sums, r)
-    tails = list(combinations(range(h, u), t))
     # Later tails overwrite earlier ones: each XOR keeps its last index.
     table = dict(zip(sums, range(len(sums))))
     stop = u - t
     last = h - 1
-    head = [0] * h
 
     def walk(first: int, acc: int, depth: int):
-        # The heads whose positions before ``depth`` are in ``head``, with
-        # XOR ``acc``; returns the tail of the first witness, or None.
+        # The heads from position ``first`` on at ``depth``, after a prefix
+        # with XOR ``acc``; returns the first witness's head positions from
+        # ``depth`` on and its tail's index, or None.
         if depth == last:
             # Most heads miss, and ``in`` tests for that without a call.
             for j in range(first, stop):
                 if acc ^ c[j] in table:
-                    # The empty tail (t = 0) fits after every head.
                     key = acc ^ c[j]
-                    if not t or tails[table[key]][0] > j:
-                        head[last] = j
-                        return tails[sums.index(key, len(sums) - math.comb(u - 1 - j, t))]
+                    fits = len(sums) - math.comb(u - 1 - j, t)
+                    if table[key] >= fits:
+                        return j, sums.index(key, fits)
             return None
         for p in range(first, stop - last + depth):
-            head[depth] = p
-            tail = walk(p + 1, acc ^ c[p], depth + 1)
-            if tail is not None:
-                return tail
+            hit = walk(p + 1, acc ^ c[p], depth + 1)
+            if hit is not None:
+                return (p, *hit)
         return None
 
-    tail = walk(0, 0, 0)
-    del walk  # the closure refers to itself
-    return None if tail is None else tuple(universe[p] for p in (*head, *tail))
+    try:
+        hit = walk(0, 0, 0)
+    finally:
+        del walk  # the closure refers to itself
+    if hit is None:
+        return None
+    tail = next(islice(combinations(range(h, u), t), hit[-1], None))
+    return tuple(universe[p] for p in (*hit[:-1], *tail))
 
 
 class XorZeroLevels:

@@ -8,12 +8,23 @@ removes left relabelling, so each class appears once.
 """
 
 import functools
+import math
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from expandercodes import (
     BipartiteGraph,
+    BoundsSweep,
+    ExpansionProfile,
+    PartitionSweep,
+    PruningParams,
     RightSubset,
+    check_expansion,
+    expansion_profile,
+    find_bounds_violation,
+    find_partition_violation,
     min_distance_kernel,
+    min_distance_pruned,
     min_distance_subset,
     verify_distance_result,
 )
@@ -38,20 +49,48 @@ def census(m, n, d):
             for multiset in combinations_with_replacement(columns, n)}
 
 
-def first_codeword(columns):
-    """The first nonempty subset whose columns XOR to zero, by size and then
-    lex within a size, with its 1-based position in that order; (None, the
-    count of all nonempty subsets) if there is none."""
-    position = 0
+def ordered_subsets(columns):
+    """Every nonempty subset of the columns, by size and then lex within a
+    size, as (positions, |N(S)|, |odd(S)|)."""
+    out = []
     for size in range(1, len(columns) + 1):
         for combo in combinations(range(len(columns)), size):
-            position += 1
-            acc = 0
+            union = odd = 0
             for j in combo:
-                acc ^= columns[j]
-            if acc == 0:
-                return combo, position
-    return None, position
+                union |= columns[j]
+                odd ^= columns[j]
+            out.append((combo, union.bit_count(), odd.bit_count()))
+    return out
+
+
+def first_codeword(subsets, lo=1):
+    """The first subset of size lo or more in ``ordered_subsets`` order
+    whose columns XOR to zero, with its 1-based position among the subsets
+    of size lo or more; (None, the count of all of those) if there is none."""
+    subsets = [s for s in subsets if len(s[0]) >= lo]
+    for position, (combo, _, odd) in enumerate(subsets, 1):
+        if odd == 0:
+            return combo, position
+    return None, len(subsets)
+
+
+def first_below(subsets, cap, bound):
+    """The first subset of size at most ``cap`` with ``bound(s, union, odd)``
+    true, with the count of subsets up to and including it; (None, the
+    count of all subsets up to the cap) if there is none."""
+    subsets = [s for s in subsets if len(s[0]) <= cap]
+    for position, (combo, union, odd) in enumerate(subsets, 1):
+        if bound(len(combo), union, odd):
+            return (combo, union, odd), position
+    return None, len(subsets)
+
+
+def census_classes():
+    """Every class of every shape in SHAPES, as (label, graph, subsets)."""
+    for m, n, d in SHAPES:
+        for columns in sorted(census(m, n, d)):
+            graph = BipartiteGraph(m, n, [bit_indices(c) for c in columns])
+            yield (m, n, d, columns), graph, ordered_subsets(columns)
 
 
 def test_census_class_counts():
@@ -61,17 +100,90 @@ def test_census_class_counts():
 
 
 def test_census_searches_match_brute_force():
-    for m, n, d in SHAPES:
-        for columns in sorted(census(m, n, d)):
-            graph = BipartiteGraph(m, n, [bit_indices(c) for c in columns])
-            matrix = graph.biadjacency()
-            combo, position = first_codeword(columns)
+    for label, graph, subsets in census_classes():
+        matrix = graph.biadjacency()
+        combo, position = first_codeword(subsets)
+        witness = None if combo is None else RightSubset.of(graph.n, combo)
+        subset = min_distance_subset(graph)
+        kernel = min_distance_kernel(matrix)
+        assert (subset.witness, subset.examined) == (witness, position), label
+        assert kernel.witness == witness, label
+        if witness is not None:
+            assert verify_distance_result(matrix, subset), label
+            assert verify_distance_result(matrix, kernel), label
+
+
+def test_census_expansion_matches_brute_force():
+    # The profile against the exact minima, and at every gamma = c/n the
+    # expansion check at the profile's best alpha (which must verify) and
+    # at alpha = 1 against the first subset that expands less.
+    for label, graph, subsets in census_classes():
+        n, d = graph.n, graph.d
+        minima = tuple(min(union for combo, union, _ in subsets if len(combo) == s)
+                       for s in range(1, n + 1))
+        profile = expansion_profile(graph, n)
+        assert profile == ExpansionProfile(n, d, minima), label
+        for c in range(1, n + 1):
+            gamma = Fraction(c, n)
+            best = profile.best_alpha(gamma)
+            for alpha in (best, 1):
+                hit, _ = first_below(subsets, c, lambda s, union, odd: union < d * alpha * s)
+                violation = None if hit is None else RightSubset.of(n, hit[0])
+                assert check_expansion(graph, gamma, alpha).violation == violation, (
+                    label, gamma, alpha)
+                assert (hit is None) == (alpha <= best), (label, gamma, alpha)
+
+
+def test_census_bounds_sweep_matches_brute_force():
+    # The uncertified sandwich sweep at epsilon = 1/3, against the first
+    # subset whose odd neighborhood is below d(1 - 2 epsilon)|S|.
+    epsilon = Fraction(1, 3)
+    for label, graph, subsets in census_classes():
+        n, d = graph.n, graph.d
+        lower = d * (1 - 2 * epsilon)
+        for c in range(1, n + 1):
+            gamma = Fraction(c, n)
+            hit, checked = first_below(subsets, c, lambda s, union, odd: odd < lower * s)
+            violation = None
+            if hit is not None:
+                combo, union, odd = hit
+                violation = (RightSubset.of(n, combo), lower * len(combo), odd, union)
+            expected = BoundsSweep(gamma, epsilon, c, checked, violation)
+            assert find_bounds_violation(graph, gamma, epsilon) == expected, (label, gamma)
+
+
+def test_census_pruned_search_matches_brute_force():
+    # At every gamma = c/n whose best alpha admits epsilon = 1 - alpha in
+    # (0, 1/2), the pruned search finds the brute-force witness, counts
+    # ``examined`` from its start level, and its threshold is at most the
+    # distance.
+    pruned = 0
+    for label, graph, subsets in census_classes():
+        n = graph.n
+        profile = expansion_profile(graph, n)
+        for c in range(1, n + 1):
+            gamma = Fraction(c, n)
+            alpha = profile.best_alpha(gamma)
+            if not Fraction(1, 2) < alpha < 1:
+                continue
+            pruned += 1
+            threshold = 2 * alpha * c
+            combo, position = first_codeword(subsets, max(1, math.ceil(threshold)))
             witness = None if combo is None else RightSubset.of(n, combo)
-            subset = min_distance_subset(graph)
-            kernel = min_distance_kernel(matrix)
-            label = (m, n, d, columns)
-            assert (subset.witness, subset.examined) == (witness, position), label
-            assert kernel.witness == witness, label
-            if witness is not None:
-                assert verify_distance_result(matrix, subset), label
-                assert verify_distance_result(matrix, kernel), label
+            result = min_distance_pruned(graph, PruningParams.certify(graph, gamma, 1 - alpha))
+            assert (result.witness, result.examined, result.threshold) == (
+                witness, position, threshold), (label, gamma)
+            # The levels below the start hold no codeword.
+            assert combo == first_codeword(subsets)[0], (label, gamma)
+            assert combo is None or threshold <= len(combo), (label, gamma)
+    assert pruned > 0
+
+
+def test_census_partition_counters_match_brute_force():
+    # Every nonempty subset is checked; the empty-odd ones are the nonzero
+    # codewords, and one of size s has 2^(s - 1) - 1 bipartitions.
+    for label, graph, subsets in census_classes():
+        sizes = [len(combo) for combo, _, odd in subsets if odd == 0]
+        expected = PartitionSweep(len(subsets), len(sizes),
+                                  sum((1 << (s - 1)) - 1 for s in sizes))
+        assert find_partition_violation(graph) == expected, label

@@ -3,6 +3,7 @@ meet-in-the-middle XOR-zero scan and the prefix-cut union walk against
 brute-force references, and the scan signatures and layer names the
 benchmark binds."""
 
+import gc
 import importlib
 import inspect
 import math
@@ -83,6 +84,23 @@ def test_scan_xor_zero_matches_brute_force(case):
     # so the split falls to t = 0 there; k = u + 1 has no combination.
     for k in range(len(universe) + 2):
         assert scan_xor_zero(cols, universe, k) == brute_force_scan(cols, universe, k)
+
+
+def test_interrupted_scan_leaves_no_reference_cycle():
+    # The head walk is a closure that calls itself. A Ctrl-C inside it
+    # must still drop that reference, or the cycle waits for the collector.
+    class Interrupt(int):
+        def __rxor__(self, other):
+            raise KeyboardInterrupt
+
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            scan_xor_zero([Interrupt(1), 2, 4, 8], range(4), 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=200, deadline=None)
