@@ -127,6 +127,7 @@ class BipartiteGraph(_Value):
 
     @classmethod
     def from_edges(cls, m: int, n: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
+        n = _int_field("n", n)
         adj: list[list[int]] = [[] for _ in range(n)]
         for left, right in edges:
             if not 0 <= right < n:

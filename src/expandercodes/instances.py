@@ -45,13 +45,18 @@ def _ascii_int(token: str) -> int:
     return int(token)
 
 
-def _header(lineno: int, parts: list[str], names: str, what: str) -> tuple[int, int]:
-    """The two counts of an "a b" header line; ``names`` spells the header
-    in the error sentence ("m n" or "rows cols"), ``what`` names the counts."""
-    if len(parts) != 2:
-        raise ParseError(f"line {lineno}: expected header '{names}'")
+def _header(rows: enumerate[list[str]], names: str, what: str) -> tuple[int, int]:
+    """The two counts of an "a b" header: the first nonempty line of
+    ``rows``, which the caller then resumes after it. ``names`` spells the
+    header in the error sentence ("m n" or "rows cols"), ``what`` names the
+    counts."""
+    for lineno, parts in rows:
+        if parts:
+            break
+    else:
+        raise ParseError(f"empty input: missing '{names}' header")
     try:
-        a, b = _ascii_int(parts[0]), _ascii_int(parts[1])
+        a, b = map(_ascii_int, parts)  # not two tokens: the unpacking fails
     except ValueError:
         raise ParseError(f"line {lineno}: expected header '{names}'") from None
     if a < 0 or b < 0:
@@ -67,12 +72,7 @@ def parse_edge_list(text: str) -> BipartiteGraph:
         lines = [line.split("#", 1)[0] for line in lines]
     # One iterator: the edge loop resumes after the header line.
     rows = enumerate(map(str.split, lines), 1)
-    for lineno, parts in rows:
-        if parts:
-            m, n = _header(lineno, parts, "m n", "vertex counts")
-            break
-    else:
-        raise ParseError("empty input: missing 'm n' header")
+    m, n = _header(rows, "m n", "vertex counts")
     # Edge -> its line number: one lookup refuses a repeat, and the keys
     # are the edges in file order.
     edges: dict[tuple[int, int], int] = {}
@@ -100,16 +100,12 @@ def parse_matrix(text: str) -> BipartiteGraph:
     ``cols`` space-separated 0/1 entries; entry (i, j) is 1 iff left i is
     adjacent to right j. Blank lines are skipped, so the rows of a matrix
     with no columns, which can only be empty lines, are not counted."""
-    header: tuple[int, int] | None = None
-    adj: list[list[int]] = []
+    rows = enumerate(map(str.split, text.splitlines()), 1)
+    m, n = _header(rows, "rows cols", "dimensions")
+    adj: list[list[int]] = [[] for _ in range(n)]
     row = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split()
+    for lineno, parts in rows:
         if not parts:
-            continue
-        if header is None:
-            m, n = header = _header(lineno, parts, "rows cols", "dimensions")
-            adj = [[] for _ in range(n)]
             continue
         if row == m:
             raise ParseError(f"line {lineno}: unexpected extra row (expected {m})")
@@ -121,8 +117,6 @@ def parse_matrix(text: str) -> BipartiteGraph:
             elif t != "0":
                 raise ParseError(f"line {lineno}: matrix entries must be 0 or 1, got {t!r}")
         row += 1
-    if header is None:
-        raise ParseError("empty input: missing 'rows cols' header")
     if n and row != m:
         raise ParseError(f"expected {m} matrix rows, got {row}")
     return BipartiteGraph(m, n, adj)
@@ -208,13 +202,15 @@ def _block(state: int) -> tuple[tuple[int, ...], int]:
     return _LANE_WORDS.unpack(z.to_bytes(_LANE_WORDS.size, "little")), (state + _STRIDE) & _U64
 
 
-def _limit(bound: int) -> int:
-    """The largest multiple of ``bound`` that fits in 2^64: a draw below
-    ``bound`` rejects each output at or above it, so the value mod
-    ``bound`` is uniform. Refuses a bound outside [1, 2^64]."""
+def _limit(bound: int) -> tuple[int, int]:
+    """``bound`` as an int, and the largest multiple of it that fits in
+    2^64: a draw below ``bound`` rejects each output at or above it, so the
+    value mod ``bound`` is uniform. Refuses a bound outside [1, 2^64]."""
+    if type(bound) is not int:
+        bound = _int_field("bound", bound)
     if not 0 < bound <= 1 << 64:
         raise ValueError(f"bound must be in [1, 2**64], got {bound}")
-    return (1 << 64) - (1 << 64) % bound
+    return bound, (1 << 64) - (1 << 64) % bound
 
 
 class SplitMix64:
@@ -236,6 +232,8 @@ class SplitMix64:
     __slots__ = ("_state", "_block", "_index")
 
     def __init__(self, seed: int):
+        if type(seed) is not int:
+            seed = _int_field("seed", seed)
         self._state = seed & _U64
         self._block: tuple[int, ...] = ()
         self._index = 0
@@ -245,7 +243,7 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform draw from [0, bound) by rejection; no modulo bias."""
-        limit = _limit(bound)
+        bound, limit = _limit(bound)
         state, block, i = self._state, self._block, self._index
         while True:
             if i == len(block):
@@ -266,7 +264,7 @@ class SplitMix64:
         values are seen. Refuses, before any draw, a bound outside
         [1, 2^64] and a count it could never reach.
         """
-        limit = _limit(bound)
+        bound, limit = _limit(bound)
         if not 0 <= count <= bound:
             raise ValueError(f"cannot draw {count} distinct values below {bound}")
         state, block, i = self._state, self._block, self._index

@@ -274,7 +274,10 @@ def distance_lower_bound(gamma, epsilon, n: int) -> Fraction:
     is nonempty and |S| > c. Now take T inside S with |T| = c. Each unique
     neighbor of T has an even number of neighbors in S, so it also has one
     in S minus T. Those edges are distinct, so d(|S| - c) >= d(1-2*eps)c,
-    that is, |S| >= 2(1-eps)c.
+    that is, |S| >= 2(1-eps)c. Every vertex of odd(T), odd in T and even in
+    S, also has a neighbor in S minus T, so the proof needs only |odd(T)|
+    >= d(1-2*eps)|T| for 1 <= |T| <= c, which an uncertified
+    ``find_bounds_violation`` that finds no violation also proves.
     """
     cap = size_cap(gamma, n)
     return 2 * (1 - exact_epsilon(epsilon)) * cap

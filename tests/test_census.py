@@ -152,6 +152,28 @@ def test_census_bounds_sweep_matches_brute_force():
             assert find_bounds_violation(graph, gamma, epsilon) == expected, (label, gamma)
 
 
+def test_census_bounds_sweep_alone_proves_the_distance_bound():
+    # distance_lower_bound's proof uses expansion only through the sweep's
+    # lower bound |odd(T)| >= d(1 - 2 eps)|T| for 1 <= |T| <= c, so a sweep
+    # that passes bounds the distance by 2(1 - eps)c, also on graphs that
+    # fail expansion at alpha = 1 - eps, where no certificate exists.
+    passes = unexpanding = 0
+    for label, graph, subsets in census_classes():
+        n = graph.n
+        combo, _ = first_codeword(subsets)
+        for c in range(1, n + 1):
+            gamma = Fraction(c, n)
+            for epsilon in (Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
+                            Fraction(2, 5)):
+                if find_bounds_violation(graph, gamma, epsilon).violation is not None:
+                    continue
+                passes += 1
+                assert combo is None or len(combo) >= 2 * (1 - epsilon) * c, (
+                    label, gamma, epsilon)
+                unexpanding += not check_expansion(graph, gamma, 1 - epsilon).verified
+    assert (passes, unexpanding) == (1945, 12)
+
+
 def test_census_pruned_search_matches_brute_force():
     # At every gamma = c/n whose best alpha admits epsilon = 1 - alpha in
     # (0, 1/2), the pruned search finds the brute-force witness, counts

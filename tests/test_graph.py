@@ -19,6 +19,7 @@ from expandercodes import (
     GenSpec,
     Gf2Matrix,
     RightSubset,
+    SplitMix64,
     check_expansion,
     expansion_profile,
     figure1,
@@ -512,6 +513,15 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "^budget must be an int, not str$"),
         (lambda: min_distance_kernel(G.biadjacency(), budget=1e9), TypeError,
          "^budget must be an int, not float$"),
+        (lambda: BipartiteGraph.from_edges(3, 2.0, [(0, 0)]), TypeError,
+         "^n must be an int, not float$"),
+        (lambda: SplitMix64(1.5), TypeError, "^seed must be an int, not float$"),
+        (lambda: SplitMix64(1).below(2.5), TypeError, "^bound must be an int, not float$"),
+        (lambda: SplitMix64(1).below(Fraction(7, 2)), TypeError,
+         "^bound must be an int, not Fraction$"),
+        (lambda: SplitMix64(1).below("7"), TypeError, "^bound must be an int, not str$"),
+        (lambda: SplitMix64(1)._sample(7.5, 2, 1), TypeError,
+         "^bound must be an int, not float$"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
          "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
@@ -531,7 +541,9 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "subset-float-bits", "subset-str-bits", "subset-of-float-index",
          "matrix-float-column", "matrix-str-column", "size_cap-float-n", "size_cap-str-n",
          "profile-float-s_max", "profile-str-s_max", "check_expansion-float-budget",
-         "check_expansion-str-budget", "kernel-float-budget"],
+         "check_expansion-str-budget", "kernel-float-budget", "from_edges-float-n",
+         "splitmix-float-seed", "below-float-bound", "below-fraction-bound",
+         "below-str-bound", "sample-float-bound"],
 )
 def test_parameter_rules_refuse(call, error, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be

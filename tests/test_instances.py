@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import pickle
+import re
 import tracemalloc
 
 import pytest
@@ -20,6 +21,8 @@ from expandercodes import (
     serialize_graph,
 )
 from expandercodes.instances import (
+    EDGE_LIST,
+    MATRIX,
     parse_edge_list,
     parse_matrix,
     serialize_edge_list,
@@ -182,6 +185,39 @@ def test_parse_errors_are_line_numbered():
         parse_graph("1 1\n", "csv")
 
 
+# Each format's wording of its header and of its counts.
+HEADER_WORDS = {EDGE_LIST: ("m n", "vertex counts"), MATRIX: ("rows cols", "dimensions")}
+# Each case is a text and the error it gets, with {names} and {what} filled
+# in from HEADER_WORDS; None marks a prefix that, followed by figure 1's
+# file, parses to figure 1.
+HEADER_CASES = {
+    "empty": ("", "empty input: missing '{names}' header"),
+    "blank-only": ("\n \n\t\n", "empty input: missing '{names}' header"),
+    "one-token": ("\n5\n", "line 2: expected header '{names}'"),
+    "non-ascii-digits": ("\u0663 \u0661\n", "line 1: expected header '{names}'"),
+    "negative-count": ("1 -1\n", "line 1: {what} must be >= 0"),
+    "after-blank-lines": ("\n  \n\t\n", None),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, prefix, message",
+    [pytest.param(fmt, prefix, message, id=f"{fmt}-{case}")
+     for case, (prefix, message) in HEADER_CASES.items() for fmt in HEADER_WORDS]
+    + [pytest.param(EDGE_LIST, "# demo\n\n  # figure 1\n", None, id="edge-list-after-comments")],
+)
+def test_both_formats_read_the_header_alike(fmt, prefix, message):
+    # Both parsers find the header as the first nonempty line and refuse
+    # it in their own words; the rows resume after it.
+    if message is None:
+        text = prefix + serialize_graph(figure1(), fmt)
+        assert parse_graph(text, fmt) == figure1()
+        return
+    names, what = HEADER_WORDS[fmt]
+    with pytest.raises(ParseError, match=f"^{re.escape(message.format(names=names, what=what))}$"):
+        parse_graph(prefix, fmt)
+
+
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "+1", "\uff11", "1.0", "0x1"])
 def test_graph_file_integers_are_ascii_digits(token):
     # int() takes the first four; a count or index is -?[0-9]+ alone.
@@ -326,6 +362,19 @@ def test_sampling_refuses_before_any_draw():
     # the refusals left the stream where it was
     assert rng.next_u64() == SplitMix64(5).next_u64()
     assert SplitMix64(5)._sample(3, 3, 1) == [[0, 1, 2]]
+
+
+def test_draws_keep_bool_bounds_and_seed_wraparound():
+    # A bool bound counts as 0 or 1 and keeps the range refusal; a bool
+    # seed is 0 or 1, and an int seed wraps to 64 bits.
+    assert SplitMix64(1).below(True) == 0
+    assert SplitMix64(1)._sample(True, 1, 2) == [[0], [0]]
+    with pytest.raises(ValueError, match=r"^bound must be in \[1, 2\*\*64\], got 0$"):
+        SplitMix64(1).below(False)
+    assert SplitMix64(True).next_u64() == SplitMix64(1).next_u64()
+    assert SplitMix64(-1).next_u64() == SplitMix64(2**64 - 1).next_u64()
+    assert SplitMix64(2**64 + 5).below(7) == SplitMix64(5).below(7)
+    assert BipartiteGraph.from_edges(3, True, [(2, 0)]) == BipartiteGraph(3, 1, ((2,),))
 
 
 # SHA-256 over both formats of every shape and seed below, in that order;
