@@ -31,7 +31,6 @@ from .subsets import (
     first_hit_by_level,
     level_min_union,
     scan_union_below,
-    _Stop,
     _unions_below,
     _xor,
 )
@@ -420,11 +419,10 @@ def find_bounds_violation(
         below = math.ceil(d * (1 - epsilon) * k)
 
         def visit(combo, count):
-            if _xor(masks, combo).bit_count() < lower:
-                raise _Stop
-            return below
+            return 0 if _xor(masks, combo).bit_count() < lower else below
 
-        return _unions_below(masks, k, below, visit)
+        bound, combo = _unions_below(masks, k, below, visit)
+        return None if bound else tuple(combo)
 
     hit, checked = first_hit_by_level(scan, n, 1, cap, budget)
     if hit is None:

@@ -262,9 +262,14 @@ class SplitMix64:
         already drawn is drawn again, so a sample consumes the stream
         exactly as ``below(bound)`` calls repeated until ``count`` distinct
         values are seen. Refuses, before any draw, a bound outside
-        [1, 2^64] and a count it could never reach.
+        [1, 2^64] and a count it could never reach. ``bound``, ``count``
+        and ``times`` are read by the int rule of ``_int_field``.
         """
         bound, limit = _limit(bound)
+        if type(count) is not int:
+            count = _int_field("count", count)
+        if type(times) is not int:
+            times = _int_field("times", times)
         if not 0 <= count <= bound:
             raise ValueError(f"cannot draw {count} distinct values below {bound}")
         state, block, i = self._state, self._block, self._index

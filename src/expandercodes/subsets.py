@@ -340,22 +340,18 @@ def _xor(c: Sequence[int], positions: Iterable[int]) -> int:
     return reduce(xor, map(c.__getitem__, positions), 0)
 
 
-class _Stop(Exception):
-    """Raised by a visitor of ``_unions_below`` to end the walk at the
-    combination it was just given."""
-
-
-def _unions_below(masks: Sequence[int], k: int, bound, visit) -> tuple[int, ...] | None:
-    """Walk the k-combinations of positions of ``masks`` in lex order and
-    call ``visit(combo, count)`` on each whose union (OR) has ``count`` <
-    ``bound`` set bits.
+def _unions_below(masks: Sequence[int], k: int, bound, visit) -> tuple[int | float, list[int]]:
+    """Walk the k-combinations of positions of ``masks`` in lex order, for
+    k >= 1 and a positive ``bound``, and call ``visit(combo, count)`` on
+    each whose union (OR) has ``count`` < ``bound`` set bits.
 
     ``combo`` is one list that the walk rewrites, so a visitor copies it to
-    keep it. ``visit`` returns the bound for the rest of the walk, or raises
-    ``_Stop`` to end it at once; the walk then returns ``combo`` as a tuple,
-    and otherwise None. Unions only grow as positions are added, so a prefix
-    whose union has ``bound`` bits has no leaf below the bound and is cut;
-    each leaf is evaluated at most once.
+    keep it. ``visit`` returns the bound for the rest of the walk; a bound
+    of 0 ends it at once, since no union has fewer than 0 bits. The walk
+    returns its final bound and ``combo``, which then holds the last
+    combination visited. Unions only grow as positions are added, so a
+    prefix whose union has ``bound`` bits has no leaf below the bound and
+    is cut; each leaf is evaluated at most once.
     """
     u = len(masks)
     combo = [0] * k
@@ -369,24 +365,32 @@ def _unions_below(masks: Sequence[int], k: int, bound, visit) -> tuple[int, ...]
                 if count < bound:
                     combo[last] = j
                     bound = visit(combo, count)
+                    if not bound:
+                        return
         else:
             for j in range(start, u - last + depth):
                 union = acc | masks[j]
                 if union.bit_count() < bound:
                     combo[depth] = j
                     walk(j + 1, union, depth + 1)
+                    # Checked after the call, not returned by it: a flag
+                    # from every call measured slower.
+                    if not bound:
+                        return
 
     try:
         walk(0, 0, 0)
-    except _Stop:
-        return tuple(combo)
     finally:
         del walk  # the closure refers to itself
-    return None
+    return bound, combo
 
 
-def _stop(combo, count):
-    raise _Stop
+def _end(combo, count):
+    return 0
+
+
+def _lower(combo, count):
+    return count
 
 
 def scan_union_below(
@@ -398,26 +402,20 @@ def scan_union_below(
     """First k-combination of ``universe`` (lex order) whose neighborhood
     union (OR of masks) has fewer than ``min_required`` set bits; None if
     every combination meets the requirement."""
+    if min_required <= 0:
+        return None
     if k == 0:
-        return () if min_required > 0 else None
-    hit = _unions_below([masks[v] for v in universe], k, min_required, _stop)
-    return None if hit is None else tuple(universe[i] for i in hit)
+        return ()
+    bound, combo = _unions_below([masks[v] for v in universe], k, min_required, _end)
+    return None if bound else tuple(universe[i] for i in combo)
 
 
 def level_min_union(masks: Sequence[int], n: int, k: int) -> int | None:
     """Minimum popcount of the mask union over all k-subsets of [0, n)."""
     if k == 0 or k > n:
         return None
-    best = None
-
-    def lower(combo, count):
-        # Each visit is strictly below the last, so the last one is the minimum.
-        nonlocal best
-        best = count
-        return count
-
-    _unions_below(masks[:n], k, math.inf, lower)
-    return best
+    # Each visit lowers the bound to its count, so the final bound is the minimum.
+    return _unions_below(masks[:n], k, math.inf, _lower)[0]
 
 
 def find_first_at_level(

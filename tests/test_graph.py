@@ -522,6 +522,10 @@ def test_bounds_sweep_matches_brute_force_oracle():
         (lambda: SplitMix64(1).below("7"), TypeError, "^bound must be an int, not str$"),
         (lambda: SplitMix64(1)._sample(7.5, 2, 1), TypeError,
          "^bound must be an int, not float$"),
+        (lambda: SplitMix64(1)._sample(7, 1.5, 1), TypeError,
+         "^count must be an int, not float$"),
+        (lambda: SplitMix64(1)._sample(7, 2, 1.0), TypeError,
+         "^times must be an int, not float$"),
     ],
     ids=["bounds-gamma-zero", "bounds-gamma-negative", "bounds-epsilon-half",
          "best_alpha-gamma-zero", "best_alpha-degree-zero", "check_expansion-degree-zero",
@@ -543,7 +547,8 @@ def test_bounds_sweep_matches_brute_force_oracle():
          "profile-float-s_max", "profile-str-s_max", "check_expansion-float-budget",
          "check_expansion-str-budget", "kernel-float-budget", "from_edges-float-n",
          "splitmix-float-seed", "below-float-bound", "below-fraction-bound",
-         "below-str-bound", "sample-float-bound"],
+         "below-str-bound", "sample-float-bound", "sample-float-count",
+         "sample-float-times"],
 )
 def test_parameter_rules_refuse(call, error, message):
     # A nonpositive gamma gives a negative size cap, so nothing would be

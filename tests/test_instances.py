@@ -365,10 +365,15 @@ def test_sampling_refuses_before_any_draw():
 
 
 def test_draws_keep_bool_bounds_and_seed_wraparound():
-    # A bool bound counts as 0 or 1 and keeps the range refusal; a bool
-    # seed is 0 or 1, and an int seed wraps to 64 bits.
+    # A bool bound, count or number of samples counts as 0 or 1, and a
+    # bound keeps the range refusal; a negative number of samples draws
+    # nothing. A bool seed is 0 or 1, and an int seed wraps to 64 bits.
     assert SplitMix64(1).below(True) == 0
     assert SplitMix64(1)._sample(True, 1, 2) == [[0], [0]]
+    assert SplitMix64(1)._sample(7, True, 2) == SplitMix64(1)._sample(7, 1, 2) == [[2], [0]]
+    assert SplitMix64(1)._sample(7, 2, True) == SplitMix64(1)._sample(7, 2, 1)
+    rng = SplitMix64(1)
+    assert rng._sample(7, 2, -1) == [] and rng.next_u64() == SplitMix64(1).next_u64()
     with pytest.raises(ValueError, match=r"^bound must be in \[1, 2\*\*64\], got 0$"):
         SplitMix64(1).below(False)
     assert SplitMix64(True).next_u64() == SplitMix64(1).next_u64()

@@ -239,7 +239,8 @@ def test_union_scans_match_brute_force(case):
                     if 1 <= k <= n else None)
         assert level_min_union(masks, n, k) == expected
     # A visitor that holds the bound fixed is called on every combination
-    # below it, in lex order, and a walk that no visitor stops returns None.
+    # below it, in lex order, and a walk that no visitor stops returns the
+    # bound it was given.
     for k in range(1, n + 1):
         for bound in range(width + 2):
             expected = [(c, union_size(masks, c)) for c in combinations(range(n), k)
@@ -250,36 +251,49 @@ def test_union_scans_match_brute_force(case):
                 visits.append((tuple(combo), count))
                 return bound
 
-            assert subsets._unions_below(masks, k, bound, visit) is None
+            assert subsets._unions_below(masks, k, bound, visit)[0] == bound
             assert visits == expected
 
 
+class ReadMasks(list):
+    """Masks that log each index read, to show where a walk stopped."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
 def test_union_walk_stops_at_once():
-    # A visitor that raises _Stop ends the walk on the combination it was
-    # given: the walk returns it and reads no mask after the one that
-    # completed it.
-    reads = []
-
-    class ReadMasks(list):
-        def __getitem__(self, i):
-            reads.append(i)
-            return super().__getitem__(i)
-
+    # A visitor that returns a bound of 0 ends the walk on the combination
+    # it was given: the walk returns 0 and that combination, and reads no
+    # mask after the one that completed it.
     masks = ReadMasks([0b0011, 0b0110, 0b1100, 0b1001, 0b0101])
     for k in range(1, 6):
         combos = list(combinations(range(5), k))
         for stop_at, combo in enumerate(combos):
-            reads.clear()
+            masks.reads.clear()
             visits = []
 
             def visit(seen, count):
                 visits.append(tuple(seen))
-                if len(visits) > stop_at:
-                    raise subsets._Stop
-                return math.inf
+                return 0 if len(visits) > stop_at else math.inf
 
-            assert subsets._unions_below(masks, k, math.inf, visit) == combo
-            assert visits == combos[:stop_at + 1] and reads[-1] == combo[-1]
+            assert subsets._unions_below(masks, k, math.inf, visit) == (0, list(combo))
+            assert visits == combos[:stop_at + 1] and masks.reads[-1] == combo[-1]
+
+
+def test_union_walk_stops_at_empty_union():
+    # Two all-zero columns: a visitor that lowers the bound to each count
+    # reaches 0 at the first 0-bit union, (1, 3), the least possible, and
+    # the walk ends there without reading mask 2 again.
+    masks = ReadMasks([0b1, 0, 0b10, 0])
+    assert subsets._unions_below(masks, 2, math.inf, lambda combo, count: count) == (0, [1, 3])
+    assert masks.reads[-1] == 3
+    assert level_min_union(masks, 4, 2) == 0
 
 
 # The benchmark's tracer binds these functions' arguments by name, so a
